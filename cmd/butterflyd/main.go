@@ -124,7 +124,7 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", time.Second, "worker: heartbeat interval")
 		deadAfter = flag.Duration("dead-after", 5*time.Second, "coordinator: reassign a worker's jobs after this long without a heartbeat; standby: take over after this long of primary silence")
 		dispatch  = flag.Int("dispatch", 16, "coordinator: concurrent remote dispatches (used when -workers is 0)")
-		pullEvery = flag.Duration("pull-interval", 200*time.Millisecond, "standby: journal replication pull interval")
+		pullEvery = flag.Duration("pull-interval", 200*time.Millisecond, "standby: pause before re-pulling the journal after a failed replication pull")
 	)
 	flag.Parse()
 	log.SetPrefix("butterflyd: ")

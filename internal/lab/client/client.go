@@ -1,5 +1,5 @@
 // Package client is the Go client for a remote butterflyd: submit jobs,
-// poll status, and fetch results over HTTP, with the retry discipline a
+// query status, and fetch results over HTTP, with the retry discipline a
 // load-shedding server expects. Idempotent requests — and every request
 // here is idempotent, because a job submission is content-addressed and a
 // duplicate submit of the same spec converges on the same cached result —
@@ -50,13 +50,6 @@ type Client struct {
 	// Retry-After overrides the computed delay.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// PollInterval paces WaitResult's status polling (default 100ms).
-	PollInterval time.Duration
-	// Breaker, when non-nil, short-circuits requests to an endpoint that
-	// keeps failing at the connection level (see Breaker). Off by default:
-	// a single-daemon client prefers patient backoff across restarts; a
-	// fleet coordinator arms it so dead workers fail over fast.
-	Breaker *Breaker
 	// Headers, when non-nil, is called per attempt and its entries are set
 	// on the request — how a fleet coordinator stamps dispatches with its
 	// epoch so fenced (replaced) coordinators are rejected by workers.
@@ -69,12 +62,11 @@ type Client struct {
 // New returns a client for the daemon at base (e.g. "http://127.0.0.1:7788").
 func New(base string) *Client {
 	return &Client{
-		MaxAttempts:  8,
-		BaseDelay:    100 * time.Millisecond,
-		MaxDelay:     5 * time.Second,
-		PollInterval: 100 * time.Millisecond,
-		base:         strings.TrimRight(base, "/"),
-		hc:           &http.Client{Timeout: 60 * time.Second},
+		MaxAttempts: 8,
+		BaseDelay:   100 * time.Millisecond,
+		MaxDelay:    5 * time.Second,
+		base:        strings.TrimRight(base, "/"),
+		hc:          &http.Client{Timeout: 60 * time.Second},
 	}
 }
 
@@ -130,29 +122,28 @@ func (c *Client) Result(ctx context.Context, id string) (*core.Result, error) {
 	return &res, nil
 }
 
-// WaitResult polls the job until it reaches a terminal state and returns
-// its result (or an error naming the terminal state for failed/canceled).
+// WaitResult blocks until the job reaches a terminal state and returns its
+// result (or an error naming the terminal state for failed/canceled). Each
+// request is a held result fetch (?wait=1) that the daemon answers when the
+// job finishes; a 409 only means the daemon's hold expired first.
 func (c *Client) WaitResult(ctx context.Context, id string) (*core.Result, error) {
-	poll := c.PollInterval
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		var res core.Result
+		err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/result?format=json&wait=1", nil, &res)
+		var ae *APIError
+		switch {
+		case err == nil:
+			return &res, nil
+		case !errors.As(err, &ae):
 			return nil, err
+		case ae.StatusCode == http.StatusConflict:
+			continue
+		case ae.StatusCode == http.StatusGone:
+			return nil, fmt.Errorf("client: job %s canceled: %w", id, err)
+		case ae.StatusCode == http.StatusInternalServerError:
+			return nil, fmt.Errorf("client: job %s failed: %w", id, err)
 		}
-		switch st.State {
-		case core.JobDone:
-			return c.Result(ctx, id)
-		case core.JobFailed:
-			return nil, fmt.Errorf("client: job %s failed: %s", id, st.Error)
-		case core.JobCanceled:
-			return nil, fmt.Errorf("client: job %s canceled", id)
-		}
-		if err := sleepCtx(ctx, poll); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 }
 
@@ -213,17 +204,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		if c.Breaker != nil {
-			if berr := c.Breaker.Allow(); berr != nil {
-				// Fail fast: the endpoint is known-dead and the cooldown
-				// has not elapsed. Preserve the underlying cause when this
-				// request saw one before the circuit opened.
-				if lastErr != nil {
-					return fmt.Errorf("client: %w (last error: %v)", berr, lastErr)
-				}
-				return berr
-			}
-		}
 		var rdr io.Reader
 		if body != nil {
 			rdr = bytes.NewReader(body)
@@ -244,19 +224,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		retryable := false
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			// Connection-level failure: the daemon may be restarting. A
-			// canceled context is the caller's doing, not the endpoint's —
-			// it never counts against the breaker.
-			if c.Breaker != nil && ctx.Err() == nil {
-				c.Breaker.Failure()
-			}
+			// Connection-level failure: the daemon may be restarting.
 			retryable, lastErr = true, err
 		} else {
-			// Any HTTP answer — even a 429 or 503 — proves the endpoint
-			// alive; load shedding is the backoff policy's business.
-			if c.Breaker != nil {
-				c.Breaker.Success()
-			}
 			done, derr := consume(resp, out)
 			if done {
 				return derr

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +22,6 @@ func fastClient(base string) *Client {
 	c := New(base)
 	c.BaseDelay = 2 * time.Millisecond
 	c.MaxDelay = 20 * time.Millisecond
-	c.PollInterval = 2 * time.Millisecond
 	return c
 }
 
@@ -200,6 +200,93 @@ func TestClientRetriesConnectionErrors(t *testing.T) {
 	}
 	if _, err := c.WaitResult(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientWaitResultTerminalStates: WaitResult rides one held result
+// fetch per job and names how a job without a result ended — a failed job
+// with its error text, a job canceled mid-hold as canceled.
+func TestClientWaitResultTerminalStates(t *testing.T) {
+	sched := lab.NewScheduler(lab.Config{Workers: 2, Execute: func(spec core.Spec, _ string, canceled func() bool) (*core.Result, error) {
+		if spec.Nodes == 16 {
+			return nil, errors.New("injected fault: node 3 on fire")
+		}
+		for !canceled() {
+			time.Sleep(time.Millisecond)
+		}
+		return nil, lab.ErrCanceled
+	}})
+	var mu sync.Mutex
+	var fetches []string
+	real := lab.NewServerFor(sched, lab.ServerConfig{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			mu.Lock()
+			fetches = append(fetches, r.URL.RequestURI())
+			mu.Unlock()
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		sched.Shutdown(context.Background())
+	})
+	c := fastClient(ts.URL)
+	ctx := context.Background()
+
+	failing, err := c.Submit(ctx, core.Spec{Experiment: "numa", Quick: true, Nodes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.WaitResult(ctx, failing.ID)
+	var ae *APIError
+	if err == nil || !strings.Contains(err.Error(), "failed") || !strings.Contains(err.Error(), "node 3 on fire") ||
+		!errors.As(err, &ae) || ae.StatusCode != http.StatusInternalServerError {
+		t.Errorf("failed job: err = %v, want a 500 naming the failure and its error text", err)
+	}
+
+	stuck, err := c.Submit(ctx, core.Spec{Experiment: "numa", Quick: true, Nodes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.WaitResult(ctx, stuck.ID)
+		waited <- err
+	}()
+	// Cancel once the held fetch is in flight.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(fetches)
+		mu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("held fetch of the stuck job never arrived")
+		}
+	}
+	if err := c.Cancel(ctx, stuck.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err = <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitResult still blocked after the job was canceled")
+	}
+	if err == nil || !strings.Contains(err.Error(), "canceled") || !errors.As(err, &ae) || ae.StatusCode != http.StatusGone {
+		t.Errorf("canceled job: err = %v, want a 410 reported as canceled", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, f := range fetches {
+		if !strings.Contains(f, "wait=1") {
+			t.Errorf("result fetch %q was not held", f)
+		}
+	}
+	if len(fetches) != 2 {
+		t.Errorf("result fetches = %q, want one held fetch per job", fetches)
 	}
 }
 

@@ -31,9 +31,6 @@ type CoordinatorConfig struct {
 	// DeadAfter is how long a worker may go without a heartbeat before
 	// its jobs are reassigned (default 5s).
 	DeadAfter time.Duration
-	// PollInterval paces the coordinator's polling of dispatched jobs
-	// (default 50ms).
-	PollInterval time.Duration
 	// Journal, when non-nil, receives worker-up/worker-down records so a
 	// restarted coordinator can probe the last-known fleet immediately.
 	Journal *lab.Journal
@@ -64,9 +61,10 @@ type CoordinatorConfig struct {
 // PR 5 made crash-safe — while the coordinator turns "run this spec" into
 // "place it on the ring, watch the worker, reassign on death".
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	dir  *Directory
-	ring atomic.Pointer[Ring]
+	cfg    CoordinatorConfig
+	dir    *Directory
+	ring   atomic.Pointer[Ring]
+	ringMu sync.Mutex // serializes refreshRing
 
 	mu      sync.Mutex
 	clients map[string]*client.Client // worker ID → client (rebuilt on URL change)
@@ -84,9 +82,6 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 5 * time.Second
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 50 * time.Millisecond
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -147,8 +142,15 @@ func (c *Coordinator) workerUp(w core.WorkerRecord, how string) {
 	c.refreshRing()
 }
 
-// refreshRing rebuilds the placement ring from the live membership.
-func (c *Coordinator) refreshRing() { c.ring.Store(NewRing(c.dir.Live())) }
+// refreshRing rebuilds the placement ring from the live membership. The
+// lock orders snapshot-and-store pairs: two unserialized refreshes racing
+// a join could store the older snapshot last and leave a live worker off
+// the ring until the next membership change.
+func (c *Coordinator) refreshRing() {
+	c.ringMu.Lock()
+	defer c.ringMu.Unlock()
+	c.ring.Store(NewRing(c.dir.Live()))
+}
 
 // Ring returns the current placement ring (never nil).
 func (c *Coordinator) Ring() *Ring { return c.ring.Load() }
@@ -160,8 +162,8 @@ func (c *Coordinator) Directory() *Directory { return c.dir }
 // death.
 func (c *Coordinator) Reassigned() uint64 { return c.reassigned.Load() }
 
-// clientFor returns the (breaker-armed) client for a worker, caching per
-// worker ID and rebuilding when the worker rejoined under a new URL.
+// clientFor returns the client for a worker, caching per worker ID and
+// rebuilding when the worker rejoined under a new URL.
 func (c *Coordinator) clientFor(w core.WorkerRecord) *client.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,13 +172,10 @@ func (c *Coordinator) clientFor(w core.WorkerRecord) *client.Client {
 	}
 	cl := client.New(w.URL)
 	// Dispatch wants fast failure detection, not patient backoff: the
-	// ring has somewhere else to put the job. The breaker makes repeat
-	// dispatches to a dead worker fail in microseconds until it proves
-	// itself alive again.
+	// ring has somewhere else to put the job.
 	cl.MaxAttempts = 3
 	cl.BaseDelay = 50 * time.Millisecond
 	cl.MaxDelay = 500 * time.Millisecond
-	cl.Breaker = client.NewBreaker(3, c.cfg.DeadAfter)
 	if c.cfg.Epoch > 0 {
 		epoch := strconv.FormatUint(c.cfg.Epoch, 10)
 		cl.Headers = func() map[string]string { return map[string]string{EpochHeader: epoch} }
@@ -266,17 +265,14 @@ func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (
 				fp, lastWorker, w.ID, n)
 		}
 		lastWorker = w.ID
-		res, err := c.dispatch(w, spec, fp, canceled)
+		res, err := c.dispatch(w, spec, canceled)
 		switch {
 		case err == nil:
 			return res, nil
 		case errors.Is(err, errWorkerLost):
 			continue // the ring has already been refreshed without w
 		case errors.Is(err, errWorkerBusy):
-			if !sleepUnlessCanceled(c.cfg.PollInterval, canceled) {
-				return nil, lab.ErrCanceled
-			}
-			continue // same worker, after a breath
+			continue // same worker; the client already backed off between its attempts
 		default:
 			return nil, err // deterministic job failure — reassignment cannot help
 		}
@@ -284,51 +280,62 @@ func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (
 }
 
 // errWorkerBusy marks a dispatch turned away by a live worker (429/503
-// after the client's own retries): back off and try again rather than
+// after the client's own backed-off retries): try again rather than
 // declaring the worker dead.
 var errWorkerBusy = errors.New("fleet: worker busy")
 
-// dispatch submits the spec to one worker and waits for its result,
-// watching the directory so a worker death mid-wait abandons the attempt
-// promptly instead of waiting out a network timeout.
-func (c *Coordinator) dispatch(w core.WorkerRecord, spec core.Spec, fp string, canceled func() bool) (*core.Result, error) {
-	ctx := context.Background()
+// dispatch submits the spec to one worker and waits on a held result fetch.
+// A watcher aborts the wait when the job is canceled or the directory stops
+// holding the worker alive, so a death mid-wait abandons the attempt
+// promptly instead of waiting out the hold or a network timeout.
+func (c *Coordinator) dispatch(w core.WorkerRecord, spec core.Spec, canceled func() bool) (*core.Result, error) {
+	ctx, abort := context.WithCancelCause(context.Background())
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		c.watch(ctx, abort, w.ID, canceled)
+	}()
+	defer func() {
+		abort(nil)
+		<-watched
+	}()
 	cl := c.clientFor(w)
+	op := "submit"
 	st, err := cl.Submit(ctx, spec)
-	if err != nil {
-		return nil, c.classify(w, err, "submit")
+	if err == nil {
+		op = "wait"
+		var res *core.Result
+		if res, err = cl.WaitResult(ctx, st.ID); err == nil {
+			return res, nil
+		}
 	}
-	for {
-		if canceled() {
+	if ctx.Err() != nil {
+		cause := context.Cause(ctx)
+		if errors.Is(cause, lab.ErrCanceled) && st != nil {
 			// Best-effort: stop the worker burning cycles on a job nobody
 			// will collect.
-			_ = cl.Cancel(ctx, st.ID)
-			return nil, lab.ErrCanceled
+			_ = cl.Cancel(context.Background(), st.ID)
 		}
-		if !c.dir.Alive(w.ID) {
-			return nil, errWorkerLost
+		return nil, cause
+	}
+	return nil, c.classify(w, err, op)
+}
+
+// watch aborts a dispatch with lab.ErrCanceled or errWorkerLost, checking
+// once per cancelSlice, until the dispatch's context ends.
+func (c *Coordinator) watch(ctx context.Context, abort context.CancelCauseFunc, id string, canceled func() bool) {
+	t := time.NewTicker(cancelSlice)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
 		}
-		jst, err := cl.Job(ctx, st.ID)
-		if err != nil {
-			return nil, c.classify(w, err, "poll")
-		}
-		switch jst.State {
-		case core.JobDone:
-			res, err := cl.Result(ctx, st.ID)
-			if err != nil {
-				return nil, c.classify(w, err, "fetch")
-			}
-			return res, nil
-		case core.JobFailed:
-			return nil, fmt.Errorf("fleet: job failed on worker %s: %s", w.ID, jst.Error)
-		case core.JobCanceled:
-			// Only the coordinator cancels worker jobs; a cancellation it
-			// did not ask for means the worker restarted confused — rerun.
-			return nil, errWorkerLost
-		}
-		if !sleepUnlessCanceled(c.cfg.PollInterval, canceled) {
-			_ = cl.Cancel(ctx, st.ID)
-			return nil, lab.ErrCanceled
+		if canceled() {
+			abort(lab.ErrCanceled)
+		} else if !c.dir.Alive(id) {
+			abort(errWorkerLost)
 		}
 	}
 }
@@ -343,6 +350,10 @@ func (c *Coordinator) classify(w core.WorkerRecord, err error, op string) error 
 		switch ae.StatusCode {
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			return fmt.Errorf("%w: %s %s: %v", errWorkerBusy, w.ID, op, err)
+		case http.StatusGone:
+			// Only the coordinator cancels worker jobs; a cancellation it
+			// did not ask for means the worker restarted confused — rerun.
+			return fmt.Errorf("%w: %s %s: %v", errWorkerLost, w.ID, op, err)
 		case http.StatusPreconditionFailed:
 			// The worker's epoch gate rejected us: a newer coordinator has
 			// taken over. Step down loudly — every further dispatch from
@@ -355,26 +366,29 @@ func (c *Coordinator) classify(w core.WorkerRecord, err error, op string) error 
 		}
 		return fmt.Errorf("fleet: worker %s %s: %w", w.ID, op, err)
 	}
-	// Connection-level failure (or an open breaker): the worker is
-	// unreachable. Down it now — the heartbeat timeout would get there,
-	// but the job should not wait for it.
+	// Connection-level failure: the worker is unreachable. Down it now —
+	// the heartbeat timeout would get there, but the job should not wait
+	// for it.
 	if c.dir.MarkDead(w.ID) {
 		c.workerDown(w, "connection-failed op="+op)
 	}
 	return fmt.Errorf("%w: %s %s: %v", errWorkerLost, w.ID, op, err)
 }
 
-// sleepUnlessCanceled naps in small slices so cancellation is honored
-// within ~20ms. Reports false when canceled.
+// cancelSlice is how often a waiting Execute checks its job for
+// cancellation (and a dispatch its worker for death).
+const cancelSlice = 20 * time.Millisecond
+
+// sleepUnlessCanceled naps in cancelSlice steps so cancellation is honored
+// promptly. Reports false when canceled.
 func sleepUnlessCanceled(d time.Duration, canceled func() bool) bool {
-	const slice = 20 * time.Millisecond
 	for d > 0 {
 		if canceled != nil && canceled() {
 			return false
 		}
 		step := d
-		if step > slice {
-			step = slice
+		if step > cancelSlice {
+			step = cancelSlice
 		}
 		time.Sleep(step)
 		d -= step

@@ -2,8 +2,13 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +28,28 @@ type testNode struct {
 // startNode brings up a worker node against the coordinator at coordURL.
 func startNode(t *testing.T, id, coordURL, cacheDir string) *testNode {
 	t.Helper()
+	return startNodeAt(t, id, coordURL, cacheDir, "", nil)
+}
+
+// startNodeAt is startNode listening on addr ("" picks a free port), with
+// wrap, when non-nil, around the node's HTTP handler.
+func startNodeAt(t *testing.T, id, coordURL, cacheDir, addr string, wrap func(http.Handler) http.Handler) *testNode {
+	t.Helper()
 	srv := lab.NewServer(lab.ServerConfig{})
-	hts := httptest.NewServer(srv)
+	var h http.Handler = srv
+	if wrap != nil {
+		h = wrap(srv)
+	}
+	hts := httptest.NewUnstartedServer(h)
+	if addr != "" {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hts.Listener.Close()
+		hts.Listener = ln
+	}
+	hts.Start()
 	w := NewWorker(WorkerConfig{
 		Self:           core.WorkerRecord{ID: id, URL: hts.URL},
 		Coordinator:    coordURL,
@@ -58,13 +83,15 @@ func (n *testNode) kill(t *testing.T) {
 // fleet — exactly what the placement tests need.
 func startCoordinator(t *testing.T, deadAfter time.Duration) (*Coordinator, *lab.Scheduler, string) {
 	t.Helper()
+	return startCoordinatorCfg(t, CoordinatorConfig{DeadAfter: deadAfter, Logf: t.Logf})
+}
+
+// startCoordinatorCfg is startCoordinator with an explicit configuration.
+func startCoordinatorCfg(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *lab.Scheduler, string) {
+	t.Helper()
 	srv := lab.NewServer(lab.ServerConfig{})
 	hts := httptest.NewServer(srv)
-	coord := NewCoordinator(CoordinatorConfig{
-		DeadAfter:    deadAfter,
-		PollInterval: 10 * time.Millisecond,
-		Logf:         t.Logf,
-	})
+	coord := NewCoordinator(cfg)
 	coord.Mount(srv)
 	sched := lab.NewScheduler(lab.Config{Workers: 8, Execute: coord.Execute})
 	srv.Attach(sched)
@@ -320,4 +347,214 @@ func TestFleetHoldsJobsWithNoWorkers(t *testing.T) {
 	if res.Table != clean.Table {
 		t.Error("held-then-released job diverges from sequential driver")
 	}
+}
+
+// fleetLog keeps the coordinator's log lines (and forwards them to t.Logf)
+// so a test can assert on what was, or was not, journaled.
+type fleetLog struct {
+	t     *testing.T
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *fleetLog) logf(format string, args ...any) {
+	l.t.Logf(format, args...)
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// count reports how many logged lines contain substr.
+func (l *fleetLog) count(substr string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// requestLog records every request a node's handler serves.
+type requestLog struct {
+	mu   sync.Mutex
+	reqs []string
+}
+
+func (l *requestLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.reqs = append(l.reqs, r.Method+" "+r.URL.RequestURI())
+		l.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
+func (l *requestLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.reqs...)
+}
+
+// specsOwnedBy returns quick numa specs, one per placement bucket, that the
+// coordinator's current ring places on worker id.
+func specsOwnedBy(t *testing.T, c *Coordinator, id string, n int) []core.Spec {
+	t.Helper()
+	var specs []core.Spec
+	for nodes := 16; len(specs) < n; nodes *= 2 {
+		if nodes > 1<<12 {
+			t.Fatalf("only %d of %d placement buckets land on %s", len(specs), n, id)
+		}
+		spec := core.Spec{Experiment: "numa", Quick: true, Nodes: nodes}
+		if w, ok := c.pickOwner(PlacementKey(spec)); ok && w.ID == id {
+			specs = append(specs, spec)
+		}
+	}
+	return specs
+}
+
+// runAll submits each spec to the coordinator's scheduler and checks its
+// table against the sequential driver.
+func runAll(t *testing.T, sched *lab.Scheduler, specs []core.Spec) {
+	t.Helper()
+	for _, spec := range specs {
+		job, err := sched.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Wait()
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", spec.Nodes, err)
+		}
+		clean, err := lab.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Table != clean.Table {
+			t.Errorf("nodes=%d: fleet table diverges from sequential driver", spec.Nodes)
+		}
+	}
+}
+
+// TestFleetRevivedWorkerKeepsPlacements: a worker that died and came back
+// on its old ID and address takes its placements again at once. Nothing
+// left over from its death may bounce the jobs it now owns: no reassignment
+// and no second worker-down.
+func TestFleetRevivedWorkerKeepsPlacements(t *testing.T) {
+	logs := &fleetLog{t: t}
+	coord, sched, coordURL := startCoordinatorCfg(t, CoordinatorConfig{DeadAfter: 5 * time.Second, Logf: logs.logf})
+	dirA := filepath.Join(t.TempDir(), "a")
+	a := startNode(t, "wA", coordURL, dirA)
+	startNode(t, "wB", coordURL, filepath.Join(t.TempDir(), "b"))
+	waitFor(t, "2 workers on the ring", func() bool { return coord.Ring().Len() == 2 })
+	owned := specsOwnedBy(t, coord, "wA", 3)
+
+	// Kill wA and drive a job onto it: the failed dial marks it dead and
+	// the job moves to wB.
+	a.kill(t)
+	runAll(t, sched, owned[:1])
+	if n := coord.Reassigned(); n != 1 {
+		t.Fatalf("reassigned = %d after a job met the dead worker, want 1", n)
+	}
+	if coord.Directory().Alive("wA") {
+		t.Fatal("dead worker still alive in the directory")
+	}
+	downs := logs.count("worker-down id=wA")
+
+	// wA restarts on the same address and rejoins through its heartbeats.
+	startNodeAt(t, "wA", coordURL, dirA, strings.TrimPrefix(a.hts.URL, "http://"), nil)
+	waitFor(t, "wA to rejoin the ring", func() bool { return coord.Ring().Len() == 2 })
+
+	runAll(t, sched, owned[1:])
+	if n := coord.Reassigned(); n != 1 {
+		t.Errorf("reassigned = %d, want 1: jobs placed on the revived worker bounced", n)
+	}
+	if n := logs.count("worker-down id=wA"); n != downs {
+		t.Errorf("revived worker logged down %d more times", n-downs)
+	}
+}
+
+// TestFleetDispatchCostsTwoRequests: a fresh job costs its worker one
+// submit and one held result fetch — no status polls.
+func TestFleetDispatchCostsTwoRequests(t *testing.T) {
+	coord, sched, coordURL := startCoordinator(t, 5*time.Second)
+	var reqs requestLog
+	startNodeAt(t, "wA", coordURL, filepath.Join(t.TempDir(), "a"), "", reqs.wrap)
+	waitFor(t, "worker on the ring", func() bool { return coord.Ring().Len() == 1 })
+
+	job, err := sched.Submit(core.Spec{Experiment: "numa", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	got := reqs.snapshot()
+	if len(got) != 2 || got[0] != "POST /jobs" ||
+		!strings.HasPrefix(got[1], "GET /jobs/") || !strings.Contains(got[1], "/result?") || !strings.Contains(got[1], "wait=1") {
+		t.Errorf("worker requests = %q, want POST /jobs then one held GET /jobs/{id}/result?wait=1", got)
+	}
+}
+
+// TestFleetDispatchAbortsPromptly: a held fetch never delays the two
+// aborts the coordinator owes a dispatch. Canceling the job reaches the
+// worker's copy within ~100ms; a worker whose heartbeats stop while its
+// listener stays open loses the job to the next ring node within
+// DeadAfter, not after the hold.
+func TestFleetDispatchAbortsPromptly(t *testing.T) {
+	const deadAfter = 500 * time.Millisecond
+	coord, sched, coordURL := startCoordinator(t, deadAfter)
+	a := startNode(t, "wA", coordURL, filepath.Join(t.TempDir(), "a"))
+	b := startNode(t, "wB", coordURL, filepath.Join(t.TempDir(), "b"))
+	waitFor(t, "2 workers on the ring", func() bool { return coord.Ring().Len() == 2 })
+	nodes := map[string]*testNode{"wA": a, "wB": b}
+
+	// spread runs for seconds: long enough to be caught mid-hold.
+	slow := core.Spec{Experiment: "spread"}
+	owner, _ := coord.pickOwner(PlacementKey(slow))
+	remote := func(n *testNode) *lab.Job {
+		if jobs := n.sched.Jobs(); len(jobs) > 0 {
+			return jobs[len(jobs)-1]
+		}
+		return nil
+	}
+	running := func(n *testNode) bool {
+		j := remote(n)
+		return j != nil && j.State() == lab.StateRunning
+	}
+
+	job, err := sched.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the job to run on its owner", func() bool { return running(nodes[owner.ID]) })
+	start := time.Now()
+	job.Cancel()
+	select {
+	case <-remote(nodes[owner.ID]).Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("worker's copy of a canceled job still running after 2s")
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Errorf("worker's job ended %v after the cancel, want ~100ms", took)
+	}
+
+	// Heartbeats stop; the listener (and the held fetch) stay up.
+	job, err = sched.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the job to run on its owner", func() bool { return running(nodes[owner.ID]) })
+	nodes[owner.ID].w.Stop()
+	start = time.Now()
+	waitFor(t, "the job to be reassigned", func() bool { return coord.Reassigned() == 1 })
+	if took := time.Since(start); took > deadAfter+time.Second {
+		t.Errorf("reassignment took %v after heartbeats stopped, want <= DeadAfter+1s = %v", took, deadAfter+time.Second)
+	}
+	// Cancel both copies so the cleanup does not wait out their runs.
+	remote(nodes[owner.ID]).Cancel()
+	job.Cancel()
+	<-job.Done()
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -18,6 +19,11 @@ import (
 // behind simply pulls again immediately.
 const replicaBatchMax = 1024
 
+// pullHold bounds how long the primary holds a caught-up follower's pull
+// waiting for the next record. It stays well under the follower's 2 s
+// client timeout, so a held pull is never mistaken for silence.
+const pullHold = time.Second
+
 // Replicator is the primary side of journal replication: it answers
 // standbys' pulls from the journal's bounded record tail (or with a full
 // state snapshot when a follower is beyond the tail) and tracks each
@@ -26,7 +32,9 @@ const replicaBatchMax = 1024
 // Replication is pull-based on purpose: the primary keeps no connection
 // state, a standby can appear (or reappear) at any time, and the ack rides
 // the next request for free — the same traffic-re-learns-everything shape
-// the fleet's heartbeats already use.
+// the fleet's heartbeats already use. A caught-up pull is held until the
+// journal appends, so a record reaches the standby one round trip after
+// it is written rather than one pull interval.
 type Replicator struct {
 	j   *lab.Journal
 	now func() time.Time
@@ -47,7 +55,9 @@ func NewReplicator(j *lab.Journal) *Replicator {
 }
 
 // HandlePull answers POST /replica/pull: records after the follower's ack,
-// or a full snapshot when the tail no longer reaches back that far.
+// or a full snapshot when the tail no longer reaches back that far. A
+// follower that is caught up is held (up to pullHold) until the next
+// record is appended.
 func (rp *Replicator) HandlePull(w http.ResponseWriter, r *http.Request) {
 	var req core.ReplicaPullRequest
 	if !decodeFleetBody(w, r, &req) {
@@ -56,16 +66,6 @@ func (rp *Replicator) HandlePull(w http.ResponseWriter, r *http.Request) {
 	if req.FollowerID == "" {
 		http.Error(w, `{"error":"follower_id is required"}`, http.StatusBadRequest)
 		return
-	}
-	resp := core.ReplicaPullResponse{Epoch: rp.j.Epoch(), LastRec: rp.j.Rec()}
-	if req.FullState {
-		st := rp.j.ReplicaState()
-		resp.State = &st
-	} else if recs, ok := rp.j.RecordsAfter(req.AfterRec, replicaBatchMax); ok {
-		resp.Records = recs
-	} else {
-		st := rp.j.ReplicaState()
-		resp.State = &st
 	}
 	rp.mu.Lock()
 	fs, ok := rp.followers[req.FollowerID]
@@ -81,6 +81,19 @@ func (rp *Replicator) HandlePull(w http.ResponseWriter, r *http.Request) {
 	}
 	fs.lastPull = rp.now()
 	rp.mu.Unlock()
+	if !req.FullState {
+		rp.j.WaitAfter(r.Context(), req.AfterRec, pullHold)
+	}
+	resp := core.ReplicaPullResponse{Epoch: rp.j.Epoch(), LastRec: rp.j.Rec()}
+	if req.FullState {
+		st := rp.j.ReplicaState()
+		resp.State = &st
+	} else if recs, ok := rp.j.RecordsAfter(req.AfterRec, replicaBatchMax); ok {
+		resp.Records = recs
+	} else {
+		st := rp.j.ReplicaState()
+		resp.State = &st
+	}
 	writeFleetJSON(w, resp)
 }
 
@@ -125,7 +138,9 @@ type FollowerConfig struct {
 	// Journal is the standby's own journal — a faithful, same-numbering
 	// copy of the primary's, on this host's disk.
 	Journal *lab.Journal
-	// PullInterval paces replication pulls (default 200ms).
+	// PullInterval is the pause before pulling again after a failed pull
+	// (default 200ms). While the primary answers, the follower pulls back
+	// to back: a caught-up pull is held by the primary until it appends.
 	PullInterval time.Duration
 	// DeadAfter is how long the primary may stay unreachable before the
 	// standby takes over (default 5s). Only connection-level silence
@@ -154,9 +169,10 @@ type Follower struct {
 	fullState atomic.Bool  // next pull must request a snapshot (gap detected)
 	tookOver  atomic.Bool
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     sync.WaitGroup
+	// ctx ends the pull loop (and any held pull in flight) on Stop.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   sync.WaitGroup
 }
 
 // NewFollower builds a standby replication loop. Call Start to begin.
@@ -170,10 +186,12 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Follower{
-		cfg:  cfg,
-		hc:   &http.Client{Timeout: 2 * time.Second},
-		stop: make(chan struct{}),
+		cfg:    cfg,
+		hc:     &http.Client{Timeout: 2 * time.Second},
+		ctx:    ctx,
+		cancel: cancel,
 	}
 }
 
@@ -184,14 +202,11 @@ func (f *Follower) Start() {
 		defer f.done.Done()
 		t := time.NewTicker(f.cfg.PullInterval)
 		defer t.Stop()
-		for {
+		for !f.tick() { // a takeover ends the loop's job
 			select {
-			case <-f.stop:
+			case <-f.ctx.Done():
 				return
 			case <-t.C:
-				if f.tick() {
-					return // took over; the loop's job is done
-				}
 			}
 		}
 	}()
@@ -199,7 +214,7 @@ func (f *Follower) Start() {
 
 // Stop halts the pull loop (it is already stopped after a takeover).
 func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
+	f.cancel()
 	f.done.Wait()
 }
 
@@ -209,17 +224,17 @@ func (f *Follower) TookOver() bool { return f.tookOver.Load() }
 // tick performs one replication round; returns true when the follower took
 // over (and the loop should exit).
 func (f *Follower) tick() bool {
-	// Drain until caught up: a full batch means more records are waiting.
-	for {
-		n, answered, err := f.pullOnce()
+	// Pull until the primary fails to answer. This does not spin: a
+	// caught-up pull is held by the primary until its journal grows.
+	for f.ctx.Err() == nil {
+		answered, err := f.pullOnce()
 		if answered {
 			f.lastAlive.Store(time.Now().UnixNano())
 		}
 		if err != nil {
-			f.cfg.Logf("replica: pull failed primary=%s err=%v", f.cfg.Primary, err)
-			break
-		}
-		if n < replicaBatchMax {
+			if f.ctx.Err() == nil {
+				f.cfg.Logf("replica: pull failed primary=%s err=%v", f.cfg.Primary, err)
+			}
 			break
 		}
 	}
@@ -250,7 +265,7 @@ func (f *Follower) tick() bool {
 // pullOnce does one pull round-trip and applies its payload. answered
 // reports whether the primary produced any HTTP response (alive), even a
 // failing one.
-func (f *Follower) pullOnce() (applied int, answered bool, err error) {
+func (f *Follower) pullOnce() (answered bool, err error) {
 	req := core.ReplicaPullRequest{
 		FollowerID:  f.cfg.Self.ID,
 		FollowerURL: f.cfg.Self.URL,
@@ -258,27 +273,32 @@ func (f *Follower) pullOnce() (applied int, answered bool, err error) {
 		FullState:   f.fullState.Load(),
 	}
 	body, _ := json.Marshal(req)
-	resp, err := f.hc.Post(f.cfg.Primary+"/replica/pull", "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(f.ctx, http.MethodPost, f.cfg.Primary+"/replica/pull", bytes.NewReader(body))
 	if err != nil {
-		return 0, false, err
+		return false, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := f.hc.Do(hreq)
+	if err != nil {
+		return false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, true, errors.New("primary answered " + resp.Status)
+		return true, errors.New("primary answered " + resp.Status)
 	}
 	var pr core.ReplicaPullResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return 0, true, err
+		return true, err
 	}
 	if pr.State != nil {
 		if err := f.cfg.Journal.InstallReplicaState(*pr.State); err != nil {
-			return 0, true, err
+			return true, err
 		}
 		f.fullState.Store(false)
 		f.lastSync.Store(time.Now().UnixNano())
 		f.cfg.Logf("replica: installed state snapshot rec=%d jobs=%d epoch=%d",
 			pr.State.Rec, len(pr.State.Jobs), pr.State.Epoch)
-		return len(pr.State.Jobs), true, nil
+		return true, nil
 	}
 	for _, rec := range pr.Records {
 		if err := f.cfg.Journal.AppendReplica(rec); err != nil {
@@ -288,14 +308,13 @@ func (f *Follower) pullOnce() (applied int, answered bool, err error) {
 				// for a snapshot and resync rather than refusing.
 				f.fullState.Store(true)
 				f.cfg.Logf("replica: gap at rec=%d, resyncing via snapshot: %v", rec.Rec, err)
-				return applied, true, nil
+				return true, nil
 			}
-			return applied, true, err
+			return true, err
 		}
-		applied++
 	}
 	f.lastSync.Store(time.Now().UnixNano())
-	return len(pr.Records), true, nil
+	return true, nil
 }
 
 // Metrics assembles the standby's replication gauges.

@@ -86,7 +86,8 @@ func TestEpochGateMiddleware(t *testing.T) {
 
 // TestReplicationStreamsJournal: a follower pulling an active primary ends
 // up with a faithful, same-numbering copy — jobs, workers, sweeps, epoch —
-// and the primary's lag gauge for it drains to zero.
+// and the primary's lag gauge for it drains to zero. The pull interval
+// only paces failed pulls: records stream over held pulls without it.
 func TestReplicationStreamsJournal(t *testing.T) {
 	primary := openTestJournal(t)
 	rep, hts := primaryFor(t, primary)
@@ -109,7 +110,7 @@ func TestReplicationStreamsJournal(t *testing.T) {
 		Self:         core.WorkerRecord{ID: "sb", URL: "http://sb"},
 		Primary:      hts.URL,
 		Journal:      standby,
-		PullInterval: 10 * time.Millisecond,
+		PullInterval: time.Hour,
 		DeadAfter:    time.Hour, // never take over in this test
 		Logf:         t.Logf,
 	})

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,6 +155,31 @@ func TestPickOwnerSkipsTwoSimultaneousDeaths(t *testing.T) {
 	}
 	if _, ok := c.pickOwner("fp-anything"); ok {
 		t.Fatal("pickOwner returned an owner from an all-dead fleet")
+	}
+}
+
+// TestRefreshRingKeepsConcurrentJoins: workers joining at the same moment
+// all land on the ring. Each join snapshots the live membership and stores
+// a ring built from it; unserialized, an older snapshot could be stored
+// last and leave a live worker unplaceable until the next membership change.
+func TestRefreshRingKeepsConcurrentJoins(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		c := NewCoordinator(CoordinatorConfig{DeadAfter: time.Hour})
+		var wg sync.WaitGroup
+		for _, w := range members("w1", "w2", "w3", "w4") {
+			wg.Add(1)
+			go func(w core.WorkerRecord) {
+				defer wg.Done()
+				if c.dir.Upsert(w) {
+					c.refreshRing()
+				}
+			}(w)
+		}
+		wg.Wait()
+		c.Close()
+		if n := c.Ring().Len(); n != 4 {
+			t.Fatalf("round %d: ring holds %d of 4 joined workers", round, n)
+		}
 	}
 }
 

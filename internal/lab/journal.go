@@ -2,6 +2,7 @@ package lab
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,6 +77,10 @@ type Journal struct {
 	// streaming to replication followers; tail[0].Rec is the oldest
 	// record still streamable.
 	tail []core.JournalRecord
+	// grew is closed, and replaced, by every record pushed onto the tail,
+	// so a caught-up replication pull blocks on the next record instead of
+	// polling for it.
+	grew chan struct{}
 
 	// workers is the fleet membership table a coordinator journals
 	// alongside its jobs: worker ID → record for every worker currently
@@ -126,6 +131,7 @@ func OpenJournal(dir string) (*Journal, error) {
 		state:   make(map[string]*core.JobRecord),
 		workers: make(map[string]core.WorkerRecord),
 		sweeps:  make(map[string]core.SweepRecord),
+		grew:    make(chan struct{}),
 	}
 
 	if err := j.loadSnapshot(); err != nil {
@@ -442,6 +448,8 @@ func (j *Journal) pushTail(r core.JournalRecord) {
 		keep := max/2 + 1
 		j.tail = append(j.tail[:0], j.tail[len(j.tail)-keep:]...)
 	}
+	close(j.grew)
+	j.grew = make(chan struct{})
 }
 
 // Submitted journals a new job, durably, before it is enqueued.
@@ -546,6 +554,17 @@ func (j *Journal) Rec() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.rec
+}
+
+// WaitAfter blocks until the journal holds a record numbered above rec, ctx
+// ends, or d passes.
+func (j *Journal) WaitAfter(ctx context.Context, rec int64, d time.Duration) {
+	j.mu.Lock()
+	grew, past := j.grew, j.rec > rec
+	j.mu.Unlock()
+	if !past {
+		awaitEvent(ctx, grew, d)
+	}
 }
 
 // RecordsAfter returns up to max records with Rec > after, in order, for

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,7 +39,8 @@ func (c ServerConfig) maxBody() int64 {
 //	GET    /jobs            list jobs in submission order
 //	GET    /jobs/{id}       status + queue position
 //	DELETE /jobs/{id}       cancel
-//	GET    /jobs/{id}/result  table text (default) or ?format=json
+//	GET    /jobs/{id}/result  table text (default) or ?format=json; with
+//	                          ?wait=1, held open while the job is unfinished
 //	POST   /sweeps          expand + submit a parameter sweep
 //	GET    /experiments     the registry
 //	GET    /metrics         queue depth, utilization, cache hit rate, jobs/sec
@@ -350,6 +352,9 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
+	if r.URL.Query().Get("wait") == "1" {
+		awaitEvent(r.Context(), j.Done(), resultHold)
+	}
 	switch j.State() {
 	case StateQueued, StateRunning:
 		writeJSON(w, http.StatusConflict, statusView(sched, j))
@@ -371,6 +376,24 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, res.Table)
+}
+
+// resultHold bounds how long a held result fetch (?wait=1) waits for an
+// unfinished job before answering 409 so the client asks again. It stays
+// well under butterflyd's 30 s ReadTimeout — past that deadline the server
+// cancels the request — and its 60 s WriteTimeout and client timeout.
+var resultHold = 10 * time.Second
+
+// awaitEvent blocks until ch closes, ctx ends, or d passes: how a held
+// request waits on an event instead of spinning on a status.
+func awaitEvent(ctx context.Context, ch <-chan struct{}, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ch:
+	case <-ctx.Done():
+	case <-t.C:
+	}
 }
 
 // sweepResponse is the wire form of a submitted sweep. ID is empty for a

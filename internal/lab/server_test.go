@@ -1,12 +1,14 @@
 package lab
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -137,13 +139,22 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestServerResultWhileRunningConflicts: an unfinished job's result is a
+// 409, and a held fetch (?wait=1) blocks on the job instead — answering
+// the finished bytes, 410 on cancel, 409 when the hold expires — and is
+// released when its client goes away.
 func TestServerResultWhileRunningConflicts(t *testing.T) {
+	hold := resultHold
+	t.Cleanup(func() { resultHold = hold })
+	resultHold = time.Second
 	ts, _ := testServer(t, Config{Workers: 1})
 
 	var slow JobStatus
 	doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"spread"}`, &slow)
 	var queued JobStatus
 	doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"numa","quick":true}`, &queued)
+	var doomed JobStatus
+	doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"numa","quick":true,"nodes":32}`, &doomed)
 
 	if code := doJSON(t, "GET", ts.URL+"/jobs/"+queued.ID+"/result", "", nil); code != http.StatusConflict {
 		t.Errorf("result of queued job status = %d", code)
@@ -154,13 +165,92 @@ func TestServerResultWhileRunningConflicts(t *testing.T) {
 		t.Errorf("queued job has no queue position: %+v", qst)
 	}
 
-	// Cancel both over the API.
+	// The spread job outlasts the hold, so a held fetch behind it expires.
+	held := ts.URL + "/jobs/" + queued.ID + "/result?wait=1"
+	start := time.Now()
+	if got := fetch(context.Background(), held); got.code != http.StatusConflict || time.Since(start) < resultHold {
+		t.Errorf("expired hold = %d after %v, want 409 after >= %v", got.code, time.Since(start), resultHold)
+	}
+
+	// Held fetches park on the queued jobs; canceling one answers 410, and
+	// freeing the worker lets the other finish with the unheld bytes.
+	queuedC := fetchAsync(held)
+	doomedC := fetchAsync(ts.URL + "/jobs/" + doomed.ID + "/result?wait=1")
+	waitHeld(t, 2)
 	var cv JobStatus
-	doJSON(t, "DELETE", ts.URL+"/jobs/"+queued.ID, "", &cv)
-	if cv.State != StateCanceled && cv.State != StateDone {
+	doJSON(t, "DELETE", ts.URL+"/jobs/"+doomed.ID, "", &cv)
+	if cv.State != StateCanceled {
 		t.Errorf("canceled view = %+v", cv)
 	}
+	if got := <-doomedC; got.code != http.StatusGone {
+		t.Errorf("held fetch of a canceled job = %d, want 410", got.code)
+	}
 	doJSON(t, "DELETE", ts.URL+"/jobs/"+slow.ID, "", nil)
+	got := <-queuedC
+	plain := fetch(context.Background(), ts.URL+"/jobs/"+queued.ID+"/result")
+	if got.code != http.StatusOK || plain.code != http.StatusOK || got.body != plain.body || got.body == "" {
+		t.Errorf("held fetch = %d %q, unheld = %d %q; want equal 200 tables", got.code, got.body, plain.code, plain.body)
+	}
+
+	// A client that gives up mid-hold releases the handler.
+	var again JobStatus
+	doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"spread","nodes":32}`, &again)
+	ctx, cancel := context.WithCancel(context.Background())
+	goneC := make(chan fetched, 1)
+	go func() { goneC <- fetch(ctx, ts.URL+"/jobs/"+again.ID+"/result?wait=1") }()
+	waitHeld(t, 1)
+	start = time.Now()
+	cancel()
+	<-goneC
+	waitHeld(t, 0)
+	if waited := time.Since(start); waited > resultHold/2 {
+		t.Errorf("handler released %v after its client left, want well under the %v hold", waited, resultHold)
+	}
+	doJSON(t, "DELETE", ts.URL+"/jobs/"+again.ID, "", nil)
+}
+
+// fetched is one raw HTTP answer (err set when there was none).
+type fetched struct {
+	code int
+	body string
+	err  error
+}
+
+func fetch(ctx context.Context, url string) fetched {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return fetched{err: err}
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return fetched{err: err}
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return fetched{code: resp.StatusCode, body: string(b), err: err}
+}
+
+func fetchAsync(url string) <-chan fetched {
+	c := make(chan fetched, 1)
+	go func() { c <- fetch(context.Background(), url) }()
+	return c
+}
+
+// waitHeld waits until exactly n handler goroutines are parked in a held
+// result fetch.
+func waitHeld(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks := buf[:runtime.Stack(buf, true)]
+		got := bytes.Count(stacks, []byte("lab.awaitEvent("))
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d held result fetches parked, want %d", got, n)
+		}
+	}
 }
 
 func TestServerSweepAndMetrics(t *testing.T) {
