@@ -434,12 +434,11 @@ func takeoverOnce(deadAfter time.Duration) (int64, uint64, error) {
 	defer sb.Close()
 	promoted := make(chan uint64, 1)
 	fol := fleet.NewFollower(fleet.FollowerConfig{
-		Self:         core.WorkerRecord{ID: "bench-standby"},
-		Primary:      "http://" + l.Addr().String(),
-		Journal:      sb,
-		PullInterval: 5 * time.Millisecond,
-		DeadAfter:    deadAfter,
-		OnTakeover:   func(epoch uint64) { promoted <- epoch },
+		Self:       core.WorkerRecord{ID: "bench-standby"},
+		Primary:    "http://" + l.Addr().String(),
+		Journal:    sb,
+		DeadAfter:  deadAfter,
+		OnTakeover: func(epoch uint64) { promoted <- epoch },
 	})
 	fol.Start()
 	defer fol.Stop()

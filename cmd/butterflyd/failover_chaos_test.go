@@ -85,8 +85,7 @@ func TestFailoverChaos(t *testing.T) {
 	sbLog := filepath.Join(stateDir, "standby.log")
 	sb := startDaemon(t, bin, sbAddr,
 		filepath.Join(stateDir, "sb-journal"), filepath.Join(stateDir, "sb-cache"), sbLog,
-		"-role", "standby", "-follow", primURL, "-dead-after", "2s",
-		"-pull-interval", "50ms", "-workers", "8")
+		"-role", "standby", "-follow", primURL, "-dead-after", "2s", "-workers", "8")
 	sbDone := false
 	defer func() {
 		if !sbDone {

@@ -124,7 +124,6 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", time.Second, "worker: heartbeat interval")
 		deadAfter = flag.Duration("dead-after", 5*time.Second, "coordinator: reassign a worker's jobs after this long without a heartbeat; standby: take over after this long of primary silence")
 		dispatch  = flag.Int("dispatch", 16, "coordinator: concurrent remote dispatches (used when -workers is 0)")
-		pullEvery = flag.Duration("pull-interval", 200*time.Millisecond, "standby: pause before re-pulling the journal after a failed replication pull")
 	)
 	flag.Parse()
 	log.SetPrefix("butterflyd: ")
@@ -325,12 +324,11 @@ func main() {
 		// journal, re-probes the fleet, and starts serving — the in-flight
 		// sweep resumes under its original job IDs.
 		follower = fleet.NewFollower(fleet.FollowerConfig{
-			Self:         core.WorkerRecord{ID: idFromURL(selfURL), URL: selfURL},
-			Primary:      *followURL,
-			Journal:      journal,
-			PullInterval: *pullEvery,
-			DeadAfter:    *deadAfter,
-			Logf:         log.Printf,
+			Self:      core.WorkerRecord{ID: idFromURL(selfURL), URL: selfURL},
+			Primary:   *followURL,
+			Journal:   journal,
+			DeadAfter: *deadAfter,
+			Logf:      log.Printf,
 			OnTakeover: func(epoch uint64) {
 				log.Printf("standby: promoting to coordinator (epoch %d)", epoch)
 				attach(buildCoordinator(epoch, 1))

@@ -75,14 +75,12 @@ type ReplicaPullRequest struct {
 // when the follower is too far behind the primary's in-memory tail, a full
 // state snapshot to install before streaming resumes.
 type ReplicaPullResponse struct {
-	Epoch   uint64          `json:"epoch"`
-	LastRec int64           `json:"last_rec"`
 	Records []JournalRecord `json:"records,omitempty"`
 	State   *ReplicaState   `json:"state,omitempty"`
 }
 
-// ReplicaState is a full journal state snapshot on the wire — the same
-// shape the journal compacts to disk, used to bootstrap a follower that
+// ReplicaState is a journal's full state image: what compaction writes to
+// snapshot.json, and what a primary sends to bootstrap a follower that
 // joined (or fell) too far behind the record stream.
 type ReplicaState struct {
 	Schema  string         `json:"schema"`

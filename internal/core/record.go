@@ -60,18 +60,6 @@ const (
 	EventSweep JournalEvent = "sweep"
 )
 
-// FleetEvent reports whether the event mutates fleet membership rather
-// than a job's lifecycle.
-func (e JournalEvent) FleetEvent() bool {
-	return e == EventWorkerUp || e == EventWorkerDown
-}
-
-// ControlEvent reports whether the event carries coordination state (epoch
-// fencing, sweep identity) rather than a job or membership transition.
-func (e JournalEvent) ControlEvent() bool {
-	return e == EventEpoch || e == EventSweep
-}
-
 // Terminal reports whether the event ends a job's life (and therefore must
 // be flushed durably before the journal acknowledges it).
 func (e JournalEvent) Terminal() bool {

@@ -84,7 +84,7 @@ func (rp *Replicator) HandlePull(w http.ResponseWriter, r *http.Request) {
 	if !req.FullState {
 		rp.j.WaitAfter(r.Context(), req.AfterRec, pullHold)
 	}
-	resp := core.ReplicaPullResponse{Epoch: rp.j.Epoch(), LastRec: rp.j.Rec()}
+	var resp core.ReplicaPullResponse
 	if req.FullState {
 		st := rp.j.ReplicaState()
 		resp.State = &st
@@ -138,13 +138,12 @@ type FollowerConfig struct {
 	// Journal is the standby's own journal — a faithful, same-numbering
 	// copy of the primary's, on this host's disk.
 	Journal *lab.Journal
-	// PullInterval is the pause before pulling again after a failed pull
-	// (default 200ms). While the primary answers, the follower pulls back
-	// to back: a caught-up pull is held by the primary until it appends.
-	PullInterval time.Duration
 	// DeadAfter is how long the primary may stay unreachable before the
 	// standby takes over (default 5s). Only connection-level silence
-	// counts; any HTTP answer proves the primary alive.
+	// counts; any HTTP answer proves the primary alive. It also paces
+	// retries: after a failed pull the follower waits DeadAfter/50 before
+	// pulling again. While the primary answers, the follower pulls back to
+	// back — a caught-up pull is held by the primary until it appends.
 	DeadAfter time.Duration
 	// OnTakeover runs exactly once, after the takeover epoch is durably
 	// fenced into the journal — the hook that promotes this process into a
@@ -177,9 +176,6 @@ type Follower struct {
 
 // NewFollower builds a standby replication loop. Call Start to begin.
 func NewFollower(cfg FollowerConfig) *Follower {
-	if cfg.PullInterval <= 0 {
-		cfg.PullInterval = 200 * time.Millisecond
-	}
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 5 * time.Second
 	}
@@ -200,13 +196,11 @@ func (f *Follower) Start() {
 	f.done.Add(1)
 	go func() {
 		defer f.done.Done()
-		t := time.NewTicker(f.cfg.PullInterval)
-		defer t.Stop()
 		for !f.tick() { // a takeover ends the loop's job
 			select {
 			case <-f.ctx.Done():
 				return
-			case <-t.C:
+			case <-time.After(f.cfg.DeadAfter / 50):
 			}
 		}
 	}()

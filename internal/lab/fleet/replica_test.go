@@ -86,8 +86,8 @@ func TestEpochGateMiddleware(t *testing.T) {
 
 // TestReplicationStreamsJournal: a follower pulling an active primary ends
 // up with a faithful, same-numbering copy — jobs, workers, sweeps, epoch —
-// and the primary's lag gauge for it drains to zero. The pull interval
-// only paces failed pulls: records stream over held pulls without it.
+// and the primary's lag gauge for it drains to zero. Records stream over
+// held pulls: with DeadAfter an hour, a failed pull would stall the test.
 func TestReplicationStreamsJournal(t *testing.T) {
 	primary := openTestJournal(t)
 	rep, hts := primaryFor(t, primary)
@@ -107,12 +107,11 @@ func TestReplicationStreamsJournal(t *testing.T) {
 
 	standby := openTestJournal(t)
 	f := NewFollower(FollowerConfig{
-		Self:         core.WorkerRecord{ID: "sb", URL: "http://sb"},
-		Primary:      hts.URL,
-		Journal:      standby,
-		PullInterval: time.Hour,
-		DeadAfter:    time.Hour, // never take over in this test
-		Logf:         t.Logf,
+		Self:      core.WorkerRecord{ID: "sb", URL: "http://sb"},
+		Primary:   hts.URL,
+		Journal:   standby,
+		DeadAfter: time.Hour, // never take over in this test
+		Logf:      t.Logf,
 	})
 	f.Start()
 	defer f.Stop()
@@ -168,12 +167,11 @@ func TestReplicationSnapshotBootstrap(t *testing.T) {
 
 	standby := openTestJournal(t)
 	f := NewFollower(FollowerConfig{
-		Self:         core.WorkerRecord{ID: "sb"},
-		Primary:      hts.URL,
-		Journal:      standby,
-		PullInterval: 10 * time.Millisecond,
-		DeadAfter:    time.Hour,
-		Logf:         t.Logf,
+		Self:      core.WorkerRecord{ID: "sb"},
+		Primary:   hts.URL,
+		Journal:   standby,
+		DeadAfter: time.Hour,
+		Logf:      t.Logf,
 	})
 	f.Start()
 	defer f.Stop()
@@ -206,13 +204,12 @@ func TestFollowerTakeover(t *testing.T) {
 	standby := openTestJournal(t)
 	var tookOver atomic.Uint64
 	f := NewFollower(FollowerConfig{
-		Self:         core.WorkerRecord{ID: "sb", URL: "http://sb"},
-		Primary:      hts.URL,
-		Journal:      standby,
-		PullInterval: 10 * time.Millisecond,
-		DeadAfter:    200 * time.Millisecond,
-		OnTakeover:   func(epoch uint64) { tookOver.Store(epoch) },
-		Logf:         t.Logf,
+		Self:       core.WorkerRecord{ID: "sb", URL: "http://sb"},
+		Primary:    hts.URL,
+		Journal:    standby,
+		DeadAfter:  200 * time.Millisecond,
+		OnTakeover: func(epoch uint64) { tookOver.Store(epoch) },
+		Logf:       t.Logf,
 	})
 	f.Start()
 	defer f.Stop()

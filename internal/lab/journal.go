@@ -93,24 +93,6 @@ type Journal struct {
 	sweepOrder []string
 }
 
-// journalSnapshot is the compacted on-disk form: every known job at its
-// last applied state, plus the record number the snapshot reflects so
-// replay can skip already-folded journal lines.
-type journalSnapshot struct {
-	Schema string           `json:"schema"`
-	Rec    int64            `json:"rec"`
-	Seq    int              `json:"seq"`
-	Jobs   []core.JobRecord `json:"jobs"`
-	// Workers is the coordinator's last-known fleet membership (absent for
-	// single-box journals and snapshots written before fleets existed).
-	Workers []core.WorkerRecord `json:"workers,omitempty"`
-	// Epoch is the highest coordinator generation fenced so far (absent
-	// before failover existed).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Sweeps are the known sweep identities, in submission order.
-	Sweeps []core.SweepRecord `json:"sweeps,omitempty"`
-}
-
 func (j *Journal) snapshotPath() string { return filepath.Join(j.dir, "snapshot.json") }
 func (j *Journal) logPath() string      { return filepath.Join(j.dir, "journal.jsonl") }
 
@@ -150,7 +132,8 @@ func OpenJournal(dir string) (*Journal, error) {
 	return j, nil
 }
 
-// loadSnapshot reads snapshot.json if present.
+// loadSnapshot installs snapshot.json, if present: the same state image a
+// replication follower installs from its primary.
 func (j *Journal) loadSnapshot() error {
 	b, err := os.ReadFile(j.snapshotPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -159,36 +142,12 @@ func (j *Journal) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("lab: journal snapshot: %w", err)
 	}
-	var snap journalSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
+	var st core.ReplicaState
+	if err = json.Unmarshal(b, &st); err == nil {
+		err = j.installLocked(st)
+	}
+	if err != nil {
 		return fmt.Errorf("lab: journal snapshot %s corrupt: %w", j.snapshotPath(), err)
-	}
-	if snap.Schema != journalSchema {
-		return fmt.Errorf("lab: journal snapshot schema %q, want %q", snap.Schema, journalSchema)
-	}
-	j.rec = snap.Rec
-	j.maxSeq = snap.Seq
-	j.epoch = snap.Epoch
-	for _, sw := range snap.Sweeps {
-		if sw.SweepID == "" {
-			return fmt.Errorf("lab: journal snapshot %s corrupt: sweep with no id", j.snapshotPath())
-		}
-		j.sweeps[sw.SweepID] = sw
-		j.sweepOrder = append(j.sweepOrder, sw.SweepID)
-	}
-	for i := range snap.Jobs {
-		r := snap.Jobs[i]
-		if r.JobID == "" {
-			return fmt.Errorf("lab: journal snapshot %s corrupt: job %d has no id", j.snapshotPath(), i)
-		}
-		j.state[r.JobID] = &r
-		j.order = append(j.order, r.JobID)
-	}
-	for _, w := range snap.Workers {
-		if w.ID == "" {
-			return fmt.Errorf("lab: journal snapshot %s corrupt: worker with no id", j.snapshotPath())
-		}
-		j.workers[w.ID] = w
 	}
 	return nil
 }
@@ -231,86 +190,87 @@ func (j *Journal) replayLog() error {
 			return fmt.Errorf("lab: journal %s corrupt at line %d: record %d follows %d (hole torn mid-file)",
 				j.logPath(), lineNo+1, r.Rec, j.rec)
 		}
-		if err := j.applyReplay(r); err != nil {
+		staged, err := j.stageLocked(r)
+		if err != nil {
 			return fmt.Errorf("lab: journal %s corrupt at line %d: %w", j.logPath(), lineNo+1, err)
 		}
-		j.rec = r.Rec
+		j.applyLocked(r, staged)
 	}
 	return nil
 }
 
-// applyReplay folds one replayed record into the in-memory job table (or,
-// for fleet events, the membership table).
-func (j *Journal) applyReplay(r core.JournalRecord) error {
-	if r.Event.FleetEvent() {
-		return j.applyWorker(r)
-	}
-	if r.Event.ControlEvent() {
-		return j.applyControl(r)
-	}
-	if r.Event == core.EventSubmitted {
+// stageLocked checks one record against the current state without changing
+// anything, and returns the job's next record for job events (nil for the
+// rest). It is the one gate every record passes — replayed, appended, or
+// replicated — so nothing replay would refuse can reach disk.
+//
+// Membership, epoch, and sweep records are deliberately idempotent here: a
+// down for an unknown worker, an up for a known one, a stale epoch, and a
+// re-sent sweep all fold as no-ops, because they race the journal writes
+// that record them and can ride a replicated stream that predates the
+// follower's own takeover. The stricter rules for this process's own
+// writes live in append.
+func (j *Journal) stageLocked(r core.JournalRecord) (*core.JobRecord, error) {
+	switch r.Event {
+	case core.EventWorkerUp, core.EventWorkerDown:
+		if r.Worker == nil || r.Worker.ID == "" {
+			return nil, fmt.Errorf("fleet event %q without a worker record", r.Event)
+		}
+		return nil, nil
+	case core.EventEpoch:
+		if r.Epoch == 0 {
+			return nil, fmt.Errorf("epoch event without an epoch")
+		}
+		return nil, nil
+	case core.EventSweep:
+		if r.Sweep == nil || r.Sweep.SweepID == "" {
+			return nil, fmt.Errorf("sweep event without a sweep record")
+		}
+		return nil, nil
+	case core.EventSubmitted:
 		if r.Spec == nil {
-			return fmt.Errorf("submitted record for %s has no spec", r.JobID)
+			return nil, fmt.Errorf("submitted record for %s has no spec", r.JobID)
 		}
 		if _, dup := j.state[r.JobID]; dup {
-			return fmt.Errorf("duplicate submission of job %s", r.JobID)
+			return nil, fmt.Errorf("duplicate submission of job %s", r.JobID)
 		}
-		j.state[r.JobID] = &core.JobRecord{
-			JobID: r.JobID, Seq: r.Seq, Spec: *r.Spec,
-			Fingerprint: r.Fingerprint, State: core.JobQueued,
-		}
-		j.order = append(j.order, r.JobID)
-		if r.Seq > j.maxSeq {
-			j.maxSeq = r.Seq
-		}
-		return nil
+		return &core.JobRecord{JobID: r.JobID, Seq: r.Seq, Spec: *r.Spec,
+			Fingerprint: r.Fingerprint, State: core.JobQueued}, nil
 	}
-	jr, ok := j.state[r.JobID]
+	cur, ok := j.state[r.JobID]
 	if !ok {
-		return fmt.Errorf("event %q for unknown job %s", r.Event, r.JobID)
+		return nil, fmt.Errorf("event %q for unknown job %s", r.Event, r.JobID)
 	}
-	return jr.Apply(r.Event, r.Error)
+	next := *cur
+	if err := next.Apply(r.Event, r.Error); err != nil {
+		return nil, err
+	}
+	return &next, nil
 }
 
-// applyWorker folds one fleet membership event. Deliberately idempotent —
-// a down for an unknown worker and an up for a known one are both fine,
-// because membership changes race the journal writes that record them.
-func (j *Journal) applyWorker(r core.JournalRecord) error {
-	if r.Worker == nil || r.Worker.ID == "" {
-		return fmt.Errorf("fleet event %q without a worker record", r.Event)
-	}
+// applyLocked folds one staged record into the tables and advances the
+// record number.
+func (j *Journal) applyLocked(r core.JournalRecord, staged *core.JobRecord) {
 	switch r.Event {
 	case core.EventWorkerUp:
 		j.workers[r.Worker.ID] = *r.Worker
 	case core.EventWorkerDown:
 		delete(j.workers, r.Worker.ID)
-	}
-	return nil
-}
-
-// applyControl folds one coordination event: epoch fences only ever rise
-// (a stale epoch record is tolerated as a no-op — it can ride in a
-// replicated stream that predates the follower's own takeover), and sweep
-// records are idempotent by ID for the same reason membership events are.
-func (j *Journal) applyControl(r core.JournalRecord) error {
-	switch r.Event {
 	case core.EventEpoch:
-		if r.Epoch == 0 {
-			return fmt.Errorf("epoch event without an epoch")
-		}
-		if r.Epoch > j.epoch {
-			j.epoch = r.Epoch
-		}
+		j.epoch = max(j.epoch, r.Epoch)
 	case core.EventSweep:
-		if r.Sweep == nil || r.Sweep.SweepID == "" {
-			return fmt.Errorf("sweep event without a sweep record")
-		}
 		if _, dup := j.sweeps[r.Sweep.SweepID]; !dup {
 			j.sweepOrder = append(j.sweepOrder, r.Sweep.SweepID)
 		}
 		j.sweeps[r.Sweep.SweepID] = *r.Sweep
+	case core.EventSubmitted:
+		j.order = append(j.order, r.JobID)
+		j.maxSeq = max(j.maxSeq, r.Seq)
+		fallthrough
+	default:
+		j.state[r.JobID] = staged
 	}
-	return nil
+	j.rec = r.Rec
 }
 
 // Torn reports whether replay dropped a truncated final record.
@@ -344,57 +304,40 @@ func (j *Journal) Jobs() []core.JobRecord {
 	return out
 }
 
-// append validates, writes, and commits one record. The in-memory state
-// mutates only after the line is handed to the OS, so a failed write leaves
-// the journal's view consistent with the file.
+// append numbers and commits one record of this process's own. Two rules
+// bind only local writes, because a replicated stream may legitimately
+// carry what they forbid: an epoch fence must rise, and a sweep ID must be
+// new.
 func (j *Journal) append(r core.JournalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return ErrJournalClosed
+	if r.Event == core.EventEpoch && r.Epoch <= j.epoch {
+		return fmt.Errorf("lab: journal: epoch %d not above current %d", r.Epoch, j.epoch)
 	}
-	// Stage the state transition so an invalid record never reaches disk.
-	var staged *core.JobRecord
-	if r.Event.FleetEvent() {
-		if r.Worker == nil || r.Worker.ID == "" {
-			return fmt.Errorf("lab: journal: fleet event %q without a worker record", r.Event)
-		}
-	} else if r.Event == core.EventEpoch {
-		if r.Epoch <= j.epoch {
-			return fmt.Errorf("lab: journal: epoch %d not above current %d", r.Epoch, j.epoch)
-		}
-	} else if r.Event == core.EventSweep {
-		if r.Sweep == nil || r.Sweep.SweepID == "" {
-			return fmt.Errorf("lab: journal: sweep event without a sweep record")
-		}
+	if r.Event == core.EventSweep && r.Sweep != nil {
 		if _, dup := j.sweeps[r.Sweep.SweepID]; dup {
 			return fmt.Errorf("lab: journal: duplicate sweep %s", r.Sweep.SweepID)
 		}
-	} else if r.Event == core.EventSubmitted {
-		if r.Spec == nil {
-			return fmt.Errorf("lab: journal: submitted record for %s has no spec", r.JobID)
-		}
-		if _, dup := j.state[r.JobID]; dup {
-			return fmt.Errorf("lab: journal: duplicate submission of job %s", r.JobID)
-		}
-		staged = &core.JobRecord{
-			JobID: r.JobID, Seq: r.Seq, Spec: *r.Spec,
-			Fingerprint: r.Fingerprint, State: core.JobQueued,
-		}
-	} else {
-		cur, ok := j.state[r.JobID]
-		if !ok {
-			return fmt.Errorf("lab: journal: event %q for unknown job %s", r.Event, r.JobID)
-		}
-		next := *cur
-		if err := next.Apply(r.Event, r.Error); err != nil {
-			return fmt.Errorf("lab: journal: %w", err)
-		}
-		staged = &next
 	}
-
 	r.Rec = j.rec + 1
 	r.UnixMs = time.Now().UnixMilli()
+	return j.commitLocked(r)
+}
+
+// commitLocked is the journal's one write path, shared by local appends and
+// replicated ones: stage the record, write its line, fsync it if it must
+// survive a crash, fold it into the tables, publish it to the replication
+// tail, and compact when due. The tables change only after the line is
+// handed to the OS, so a refused record or a failed write leaves the
+// journal's view consistent with the file.
+func (j *Journal) commitLocked(r core.JournalRecord) error {
+	if j.f == nil {
+		return ErrJournalClosed
+	}
+	staged, err := j.stageLocked(r)
+	if err != nil {
+		return fmt.Errorf("lab: journal: %w", err)
+	}
 	line, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("lab: journal: %w", err)
@@ -409,27 +352,11 @@ func (j *Journal) append(r core.JournalRecord) error {
 		// page cache.
 		_ = j.f.Sync()
 	}
-	j.rec = r.Rec
-	switch {
-	case r.Event.FleetEvent():
-		_ = j.applyWorker(r) // validated above; idempotent by design
-	case r.Event.ControlEvent():
-		_ = j.applyControl(r) // validated above
-	default:
-		j.state[r.JobID] = staged
-	}
-	if r.Event == core.EventSubmitted {
-		j.order = append(j.order, r.JobID)
-		if r.Seq > j.maxSeq {
-			j.maxSeq = r.Seq
-		}
-	}
+	j.applyLocked(r, staged)
 	j.pushTail(r)
 	j.appends++
 	if j.CompactEvery > 0 && j.appends >= j.CompactEvery {
-		if err := j.compactLocked(); err != nil {
-			return err
-		}
+		return j.compactLocked()
 	}
 	return nil
 }
@@ -592,12 +519,20 @@ func (j *Journal) RecordsAfter(after int64, max int) (recs []core.JournalRecord,
 }
 
 // ReplicaState captures the full journal state for a follower that cannot
-// be served from the record tail.
+// be served from the record tail — the same image compaction writes to
+// snapshot.json.
 func (j *Journal) ReplicaState() core.ReplicaState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := core.ReplicaState{Schema: journalSchema, Rec: j.rec, Seq: j.maxSeq, Epoch: j.epoch}
-	st.Jobs = make([]core.JobRecord, 0, len(j.order))
+	return j.stateLocked()
+}
+
+// stateLocked builds the journal's state image: every job at its last
+// applied state in submission order, membership sorted by worker ID, and
+// sweeps in submission order, stamped with the record number it reflects.
+func (j *Journal) stateLocked() core.ReplicaState {
+	st := core.ReplicaState{Schema: journalSchema, Rec: j.rec, Seq: j.maxSeq, Epoch: j.epoch,
+		Jobs: make([]core.JobRecord, 0, len(j.order))}
 	for _, id := range j.order {
 		st.Jobs = append(st.Jobs, *j.state[id])
 	}
@@ -608,6 +543,46 @@ func (j *Journal) ReplicaState() core.ReplicaState {
 		st.Sweeps = append(st.Sweeps, j.sweeps[id])
 	}
 	return st
+}
+
+// installLocked replaces the journal's tables with a state image. The whole
+// image is checked before anything changes, so a refused image leaves the
+// journal exactly as it was. The epoch never falls.
+func (j *Journal) installLocked(st core.ReplicaState) error {
+	if st.Schema != journalSchema {
+		return fmt.Errorf("schema %q, want %q", st.Schema, journalSchema)
+	}
+	state := make(map[string]*core.JobRecord, len(st.Jobs))
+	order := make([]string, 0, len(st.Jobs))
+	for i := range st.Jobs {
+		r := st.Jobs[i]
+		if r.JobID == "" {
+			return fmt.Errorf("job %d has no id", i)
+		}
+		state[r.JobID] = &r
+		order = append(order, r.JobID)
+	}
+	workers := make(map[string]core.WorkerRecord, len(st.Workers))
+	for _, w := range st.Workers {
+		if w.ID == "" {
+			return errors.New("worker with no id")
+		}
+		workers[w.ID] = w
+	}
+	sweeps := make(map[string]core.SweepRecord, len(st.Sweeps))
+	var sweepOrder []string
+	for _, sw := range st.Sweeps {
+		if sw.SweepID == "" {
+			return errors.New("sweep with no id")
+		}
+		sweeps[sw.SweepID] = sw
+		sweepOrder = append(sweepOrder, sw.SweepID)
+	}
+	j.rec, j.maxSeq, j.epoch = st.Rec, st.Seq, max(j.epoch, st.Epoch)
+	j.state, j.order, j.workers = state, order, workers
+	j.sweeps, j.sweepOrder = sweeps, sweepOrder
+	j.tail = nil
+	return nil
 }
 
 // InstallReplicaState replaces the journal's contents with a primary's
@@ -621,101 +596,40 @@ func (j *Journal) InstallReplicaState(st core.ReplicaState) error {
 	if j.f == nil {
 		return ErrJournalClosed
 	}
-	if st.Schema != journalSchema {
-		return fmt.Errorf("lab: replica state schema %q, want %q", st.Schema, journalSchema)
-	}
 	if st.Rec < j.rec {
 		return fmt.Errorf("lab: replica state at record %d behind local journal at %d", st.Rec, j.rec)
 	}
-	j.rec = st.Rec
-	j.maxSeq = st.Seq
-	if st.Epoch > j.epoch {
-		j.epoch = st.Epoch
+	if err := j.installLocked(st); err != nil {
+		return fmt.Errorf("lab: replica state: %w", err)
 	}
-	j.state = make(map[string]*core.JobRecord, len(st.Jobs))
-	j.order = j.order[:0]
-	for i := range st.Jobs {
-		r := st.Jobs[i]
-		if r.JobID == "" {
-			return fmt.Errorf("lab: replica state job %d has no id", i)
-		}
-		j.state[r.JobID] = &r
-		j.order = append(j.order, r.JobID)
-	}
-	j.workers = make(map[string]core.WorkerRecord, len(st.Workers))
-	for _, w := range st.Workers {
-		j.workers[w.ID] = w
-	}
-	j.sweeps = make(map[string]core.SweepRecord, len(st.Sweeps))
-	j.sweepOrder = j.sweepOrder[:0]
-	for _, sw := range st.Sweeps {
-		j.sweeps[sw.SweepID] = sw
-		j.sweepOrder = append(j.sweepOrder, sw.SweepID)
-	}
-	j.tail = nil
 	return j.compactLocked()
 }
 
 // AppendReplica appends one record received from the replication stream,
 // preserving its original record number (the follower's journal is a
 // faithful copy of the primary's, so a promoted follower's own appends
-// continue the same numbering). Returns ErrReplicaGap when the record does
-// not directly follow the local journal.
+// continue the same numbering). A record this journal's state refuses —
+// the copies diverged — is refused before it is written. Returns
+// ErrReplicaGap when the record does not directly follow the local journal.
 func (j *Journal) AppendReplica(r core.JournalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return ErrJournalClosed
-	}
 	if r.Rec <= j.rec {
 		return nil // duplicate delivery; already replicated
 	}
 	if r.Rec != j.rec+1 {
 		return fmt.Errorf("%w: record %d does not follow %d", ErrReplicaGap, r.Rec, j.rec)
 	}
-	line, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("lab: replica append: %w", err)
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("lab: replica append: %w", err)
-	}
-	if r.Event.Terminal() || r.Event == core.EventEpoch {
-		_ = j.f.Sync()
-	}
-	if err := j.applyReplay(r); err != nil {
-		// The stream was validated on the primary; an impossible
-		// transition here means the copies diverged.
-		return fmt.Errorf("lab: replica append: %w", err)
-	}
-	j.rec = r.Rec
-	j.pushTail(r)
-	j.appends++
-	if j.CompactEvery > 0 && j.appends >= j.CompactEvery {
-		if err := j.compactLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.commitLocked(r)
 }
 
-// compactLocked folds the full job table into snapshot.json (atomically, via
+// compactLocked folds the state image into snapshot.json (atomically, via
 // temp file + rename) and truncates the log. A crash between the two steps
 // is safe: the snapshot's record number makes the leftover log lines
 // no-ops on the next replay.
 func (j *Journal) compactLocked() error {
-	snap := journalSnapshot{Schema: journalSchema, Rec: j.rec, Seq: j.maxSeq, Epoch: j.epoch}
-	snap.Jobs = make([]core.JobRecord, 0, len(j.order))
-	for _, id := range j.order {
-		snap.Jobs = append(snap.Jobs, *j.state[id])
-	}
-	for _, id := range sortedWorkerIDs(j.workers) {
-		snap.Workers = append(snap.Workers, j.workers[id])
-	}
-	for _, id := range j.sweepOrder {
-		snap.Sweeps = append(snap.Sweeps, j.sweeps[id])
-	}
-	b, err := json.MarshalIndent(snap, "", "  ")
+	b, err := json.MarshalIndent(j.stateLocked(), "", "  ")
+
 	if err != nil {
 		return fmt.Errorf("lab: journal compact: %w", err)
 	}

@@ -1,7 +1,12 @@
 package lab
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"butterfly/internal/core"
@@ -38,9 +43,12 @@ func TestJournalReplayMembershipEdgeCases(t *testing.T) {
 
 // TestReplicaAppendDuplicateAndGap: duplicate delivery from the stream is a
 // silent no-op (the record is already replicated); a record that skips
-// ahead is ErrReplicaGap, the signal to resync via snapshot.
+// ahead is ErrReplicaGap, the signal to resync via snapshot; a record this
+// copy's state refuses (the copies diverged) is refused before it reaches
+// the log, so the journal still reopens.
 func TestReplicaAppendDuplicateAndGap(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +72,25 @@ func TestReplicaAppendDuplicateAndGap(t *testing.T) {
 	// The gap left no trace: record 2 still applies.
 	if err := j.AppendReplica(core.JournalRecord{Rec: 2, Event: core.EventStarted, JobID: "j0001-a"}); err != nil {
 		t.Fatalf("in-order append after a rejected gap: %v", err)
+	}
+
+	// Diverged: this copy already has the job running.
+	diverged := core.JournalRecord{Rec: 3, Event: core.EventStarted, JobID: "j0001-a"}
+	if err := j.AppendReplica(diverged); err == nil || errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("diverged append error = %v, want a refusal", err)
+	}
+	if j.Rec() != 2 {
+		t.Fatalf("Rec = %d after a refused record, want 2", j.Rec())
+	}
+	// Reopen the live log as a crash would leave it: the refused record
+	// must not be on disk to poison replay.
+	re, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatalf("journal refuses to reopen after a diverged record: %v", err)
+	}
+	defer re.Close()
+	if re.Rec() != 2 {
+		t.Errorf("reopened Rec = %d, want 2", re.Rec())
 	}
 }
 
@@ -129,6 +156,25 @@ func TestReplicaStateInstallGuards(t *testing.T) {
 	}
 	if err := j.InstallReplicaState(core.ReplicaState{Schema: "butterfly-journal-v1", Rec: 1}); err == nil {
 		t.Error("backwards state installed")
+	}
+	// An image with a nameless entry would write a snapshot the next open
+	// refuses; it is refused whole, before anything changes.
+	for _, bad := range []struct {
+		name string
+		st   core.ReplicaState
+	}{
+		{"worker with no id", core.ReplicaState{Workers: []core.WorkerRecord{{URL: "http://nameless"}}}},
+		{"sweep with no id", core.ReplicaState{Sweeps: []core.SweepRecord{{JobIDs: []string{"b-job"}}}}},
+		{"job with no id", core.ReplicaState{Jobs: []core.JobRecord{{Seq: 9, Spec: spec, State: core.JobQueued}}}},
+	} {
+		bad.st.Schema, bad.st.Rec = "butterfly-journal-v1", 10+j.Rec()
+		if err := j.InstallReplicaState(bad.st); err == nil {
+			t.Errorf("state with a %s installed", bad.name)
+		}
+		if j.Rec() != 3 || len(j.Jobs()) != 3 {
+			t.Errorf("rejected install (%s) moved the journal to rec=%d jobs=%d, want 3/3",
+				bad.name, j.Rec(), len(j.Jobs()))
+		}
 	}
 
 	st := core.ReplicaState{Schema: "butterfly-journal-v1", Rec: 7, Seq: 5, Epoch: 2,
@@ -212,5 +258,128 @@ func TestRecordsAfterTailSemantics(t *testing.T) {
 	recs, ok = j.RecordsAfter(8, 1)
 	if !ok || len(recs) != 1 || recs[0].Rec != 9 {
 		t.Errorf("RecordsAfter(8, max=1) = %+v ok=%v, want just record 9", recs, ok)
+	}
+}
+
+// TestReplicaConvergesToPrimaryImage: a follower fed a mixed record stream
+// through AppendReplica — with compaction every 3 records on both sides and
+// one snapshot install mid-stream — ends with the primary's state image,
+// and both write byte-identical snapshot.json files. A snapshot written in
+// the field order older builds used still opens to the same state.
+func TestReplicaConvergesToPrimaryImage(t *testing.T) {
+	primDir, folDir := t.TempDir(), t.TempDir()
+	primary, err := OpenJournal(primDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := OpenJournal(folDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary.CompactEvery, follower.CompactEvery = 3, 3
+
+	// ship moves what the follower lacks over the wire encoding.
+	ship := func() {
+		t.Helper()
+		recs, ok := primary.RecordsAfter(follower.Rec(), 0)
+		if !ok {
+			t.Fatalf("primary tail no longer reaches record %d", follower.Rec()+1)
+		}
+		b, err := json.Marshal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire []core.JournalRecord
+		if err := json.Unmarshal(b, &wire); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range wire {
+			if err := follower.AppendReplica(r); err != nil {
+				t.Fatalf("replicating record %d (%s): %v", r.Rec, r.Event, err)
+			}
+		}
+	}
+	spec := specNuma()
+	wA := core.WorkerRecord{ID: "wA", URL: "http://a"}
+	wB := core.WorkerRecord{ID: "wB", URL: "http://b"}
+	steps := []func() error{
+		func() error { _, err := primary.BumpEpoch(); return err },
+		func() error { return primary.WorkerUp(wA) },
+		func() error { return primary.WorkerUp(wB) },
+		func() error { return primary.Submitted("j0001-a", 1, spec, "fp-a") },
+		func() error { return primary.Submitted("j0002-b", 2, spec, "fp-b") },
+		func() error { return primary.SweepSubmitted("s0001", []string{"j0001-a", "j0002-b"}) },
+		func() error { return primary.Started("j0001-a") },
+		func() error { return primary.WorkerDown(wA) },
+		func() error { return primary.Finished("j0001-a", core.JobDone, "") },
+		func() error { return primary.Started("j0002-b") },
+		func() error { return primary.Finished("j0002-b", core.JobFailed, "boom") },
+		func() error { return primary.Submitted("j0003-c", 3, spec, "fp-c") },
+		func() error { _, err := primary.BumpEpoch(); return err },
+		func() error { return primary.Interrupted("j0003-c") },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("primary step %d: %v", i, err)
+		}
+		if i == len(steps)/2 {
+			// Mid-stream resync: the follower installs the primary's image
+			// instead of streaming the records it lacks.
+			if err := follower.InstallReplicaState(primary.ReplicaState()); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		ship()
+	}
+
+	want := primary.ReplicaState()
+	if got := follower.ReplicaState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower image diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	primSnap, err := os.ReadFile(filepath.Join(primDir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folSnap, err := os.ReadFile(filepath.Join(folDir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(primSnap, folSnap) {
+		t.Fatalf("snapshot.json differs:\nprimary  %s\nfollower %s", primSnap, folSnap)
+	}
+
+	// The same image in the older on-disk field order (epoch after the
+	// tables) opens to the same state.
+	old := struct {
+		Schema  string              `json:"schema"`
+		Rec     int64               `json:"rec"`
+		Seq     int                 `json:"seq"`
+		Jobs    []core.JobRecord    `json:"jobs"`
+		Workers []core.WorkerRecord `json:"workers,omitempty"`
+		Epoch   uint64              `json:"epoch,omitempty"`
+		Sweeps  []core.SweepRecord  `json:"sweeps,omitempty"`
+	}{want.Schema, want.Rec, want.Seq, want.Jobs, want.Workers, want.Epoch, want.Sweeps}
+	b, err := json.MarshalIndent(old, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(oldDir, "snapshot.json"), append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenJournal(oldDir)
+	if err != nil {
+		t.Fatalf("old-order snapshot refused: %v", err)
+	}
+	defer re.Close()
+	if got := re.ReplicaState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("old-order snapshot opened to\n %+v\nwant %+v", got, want)
 	}
 }

@@ -265,9 +265,8 @@ type Scheduler struct {
 	// Tracked sweeps: ID → grid-ordered job IDs, journaled so a restart —
 	// or a standby promoted from a replicated journal — can still serve
 	// GET /sweeps/{id}/result under the original identity.
-	sweeps     map[string]core.SweepRecord
-	sweepOrder []string
-	sweepSeq   int
+	sweeps   map[string]core.SweepRecord
+	sweepSeq int
 }
 
 // NewScheduler starts a scheduler with its worker pool running. With a
@@ -383,7 +382,6 @@ func (s *Scheduler) replayJournal() []*Job {
 func (s *Scheduler) replaySweeps() {
 	for _, rec := range s.journal.Sweeps() {
 		s.sweeps[rec.SweepID] = rec
-		s.sweepOrder = append(s.sweepOrder, rec.SweepID)
 		var n int
 		if _, err := fmt.Sscanf(rec.SweepID, "s%d", &n); err == nil && n > s.sweepSeq {
 			s.sweepSeq = n

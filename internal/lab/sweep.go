@@ -227,7 +227,6 @@ func (s *Scheduler) SubmitSweepTracked(sw Sweep) (string, []*Job, error) {
 		}
 	}
 	s.sweeps[id] = rec
-	s.sweepOrder = append(s.sweepOrder, id)
 	s.mu.Unlock()
 	return id, jobs, nil
 }
@@ -238,15 +237,6 @@ func (s *Scheduler) Sweep(id string) (core.SweepRecord, bool) {
 	defer s.mu.Unlock()
 	rec, ok := s.sweeps[id]
 	return rec, ok
-}
-
-// SweepIDs lists tracked sweeps in submission order.
-func (s *Scheduler) SweepIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.sweepOrder))
-	copy(out, s.sweepOrder)
-	return out
 }
 
 // AssembleSweep waits for a sweep's jobs and reassembles their tables into

@@ -153,7 +153,7 @@ func TestSweepIdentitySurvivesRestart(t *testing.T) {
 
 	rec, ok := s2.Sweep(id)
 	if !ok {
-		t.Fatalf("sweep %s lost across restart (known: %v)", id, s2.SweepIDs())
+		t.Fatalf("sweep %s lost across restart", id)
 	}
 	re := make([]*Job, 0, len(rec.JobIDs))
 	for _, jid := range rec.JobIDs {
