@@ -54,6 +54,11 @@ type Job struct {
 	err       error
 	exec      *execState
 	cancelled bool
+	// counted marks a job the scheduler's queued-by-seq count includes:
+	// set when it is enqueued, cleared when it leaves StateQueued. A cache
+	// hit or a job restored as terminal is queued only in passing and is
+	// never counted.
+	counted bool
 	// spooled marks a done job whose payload (table, probe report) was
 	// released to the cache; Wait/Result reload it from there.
 	spooled   bool
@@ -115,6 +120,7 @@ func (j *Job) Cancel() {
 	j.cancelled = true
 	switch j.state {
 	case StateQueued:
+		j.dequeueLocked()
 		j.finishLocked(StateCanceled, nil, ErrCanceled)
 		j.mu.Unlock()
 	case StateRunning:
@@ -143,6 +149,15 @@ func (j *Job) bindExec(x *execState) {
 	j.mu.Unlock()
 	if x != nil && j.isCanceled() {
 		x.interrupt()
+	}
+}
+
+// dequeueLocked drops j from the queued-by-seq count as it leaves
+// StateQueued. Callers hold j.mu.
+func (j *Job) dequeueLocked() {
+	if j.counted {
+		j.counted = false
+		j.sched.queued.add(j.seq, -1)
 	}
 }
 
@@ -262,6 +277,10 @@ type Scheduler struct {
 	seq       int
 	quiescing bool
 
+	// queued counts the queued jobs by seq, so a queue position is a prefix
+	// sum rather than a scan of every job the scheduler has held.
+	queued seqCounts
+
 	// Tracked sweeps: ID → grid-ordered job IDs, journaled so a restart —
 	// or a standby promoted from a replicated journal — can still serve
 	// GET /sweeps/{id}/result under the original identity.
@@ -306,7 +325,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	}
 	s.queue = make(chan *Job, depth)
 	for _, j := range requeue {
-		s.queue <- j
+		s.enqueue(j)
 	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -418,6 +437,7 @@ func (s *Scheduler) runJob(j *Job) {
 		j.mu.Unlock()
 		return
 	}
+	j.dequeueLocked()
 	j.state = StateRunning
 	j.started = time.Now()
 	if s.journal != nil {
@@ -531,18 +551,30 @@ func (s *Scheduler) Submit(spec core.Spec) (*Job, error) {
 		}
 	}
 	if hit != nil {
+		// The hit's terminal record is fsynced outside s.mu, so it stalls
+		// no other client's Lookup or Submit. Its Submitted record is
+		// already written, so the journal still orders the two.
+		s.mu.Unlock()
 		j.mu.Lock()
 		j.finishLocked(StateDone, hit, nil)
 		j.mu.Unlock()
-		s.mu.Unlock()
 		return j, nil
 	}
 	// The enqueue stays under s.mu so it cannot race Shutdown's close of
 	// the queue, and it cannot block: the slot was reserved by the
 	// admission check above and workers only ever drain.
-	s.queue <- j
+	s.enqueue(j)
 	s.mu.Unlock()
 	return j, nil
+}
+
+// enqueue counts j as queued and hands it to the workers. Its callers own
+// j alone: Submit under s.mu before the job is returned, NewScheduler
+// before any worker starts.
+func (s *Scheduler) enqueue(j *Job) {
+	j.counted = true
+	s.queued.add(j.seq, 1)
+	s.queue <- j
 }
 
 // Lookup finds a job by ID.
@@ -564,22 +596,62 @@ func (s *Scheduler) Jobs() []*Job {
 	return out
 }
 
-// QueuePosition returns how many queued jobs are ahead of j (0 for a job
-// that is running or finished; 1 means next in line).
+// QueuePosition returns j's place in line: 1 plus the number of queued jobs
+// submitted before it (0 for a job that is running or finished).
 func (s *Scheduler) QueuePosition(j *Job) int {
-	if j.State() != StateQueued {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.queuePositionLocked()
+}
+
+// queuePositionLocked is QueuePosition for callers holding j.mu: one prefix
+// sum, whatever the number of jobs held.
+func (j *Job) queuePositionLocked() int {
+	if j.state != StateQueued {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pos := 1
-	for _, id := range s.order {
-		o := s.jobs[id]
-		if o.seq < j.seq && o.State() == StateQueued {
-			pos++
-		}
+	return 1 + j.sched.queued.below(j.seq)
+}
+
+// seqCounts counts queued jobs by seq in a Fenwick tree, so an add and a
+// count of the jobs below a seq both cost O(log n) in the highest seq seen.
+// Its lock is a leaf: it is taken under s.mu and j.mu and takes nothing.
+type seqCounts struct {
+	mu sync.Mutex
+	// t[i] sums the counts of seqs i-lowbit(i) .. i-1; t[0] is unused.
+	t []int
+}
+
+// add adds d to the count at seq, growing the tree to cover it.
+func (c *seqCounts) add(seq, d int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := seq + 1
+	for len(c.t) <= i {
+		// A new node sums a range of seqs every one of which is already
+		// covered, so it starts as the difference of two prefix sums.
+		n := len(c.t)
+		c.t = append(c.t, c.prefix(n-1)-c.prefix(n-n&-n))
 	}
-	return pos
+	for ; i < len(c.t); i += i & -i {
+		c.t[i] += d
+	}
+}
+
+// below returns the total count of the seqs smaller than seq.
+func (c *seqCounts) below(seq int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.prefix(min(seq, len(c.t)-1))
+}
+
+// prefix sums nodes 1..i, the counts of seqs 0..i-1. Callers hold c.mu.
+func (c *seqCounts) prefix(i int) int {
+	sum := 0
+	for ; i > 0; i -= i & -i {
+		sum += c.t[i]
+	}
+	return sum
 }
 
 // Metrics is a point-in-time snapshot of scheduler health.

@@ -187,16 +187,21 @@ type JobStatus struct {
 	WallMs        int64     `json:"wall_ms,omitempty"`
 }
 
-// statusView snapshots a job for the wire.
-func statusView(sched *Scheduler, j *Job) JobStatus {
+// statusView snapshots a job for the wire from its in-memory header, in one
+// hold of j.mu. A spooled result's header keeps cache_hit and wall time, so
+// a status answer never reads the cache and costs the same however many
+// jobs the scheduler holds.
+func statusView(j *Job) JobStatus {
 	v := JobStatus{
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint,
 		Spec:        j.Spec,
-		State:       j.State(),
 	}
-	v.QueuePosition = sched.QueuePosition(j)
-	res, err := j.Result()
+	j.mu.Lock()
+	v.State = j.state
+	v.QueuePosition = j.queuePositionLocked()
+	res, err := j.res, j.err
+	j.mu.Unlock()
 	if res != nil {
 		v.CacheHit = res.CacheHit
 		v.WallMs = res.WallNs / int64(time.Millisecond)
@@ -295,11 +300,12 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, sched, err)
 		return
 	}
+	v := statusView(j)
 	status := http.StatusAccepted
-	if j.State() == StateDone { // served from cache at submit time
+	if v.State == StateDone { // served from cache at submit time
 		status = http.StatusOK
 	}
-	writeJSON(w, status, statusView(sched, j))
+	writeJSON(w, status, v)
 }
 
 func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
@@ -310,7 +316,7 @@ func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
 	jobs := sched.Jobs()
 	views := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
-		views = append(views, statusView(sched, j))
+		views = append(views, statusView(j))
 	}
 	writeJSON(w, http.StatusOK, views)
 }
@@ -325,7 +331,7 @@ func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, statusView(sched, j))
+	writeJSON(w, http.StatusOK, statusView(j))
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
@@ -339,7 +345,7 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, statusView(sched, j))
+	writeJSON(w, http.StatusOK, statusView(j))
 }
 
 func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +363,7 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State() {
 	case StateQueued, StateRunning:
-		writeJSON(w, http.StatusConflict, statusView(sched, j))
+		writeJSON(w, http.StatusConflict, statusView(j))
 		return
 	case StateCanceled:
 		// The job will never have a result; 410 tells the client to stop
@@ -422,7 +428,7 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sweepResponse{ID: id, Points: len(jobs)}
 	for _, j := range jobs {
-		resp.Jobs = append(resp.Jobs, statusView(sched, j))
+		resp.Jobs = append(resp.Jobs, statusView(j))
 	}
 	status := http.StatusAccepted
 	if err != nil {
