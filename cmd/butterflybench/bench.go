@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -139,17 +138,17 @@ func runBenchOut(path string, quick bool) error {
 	fmt.Printf("%-10s %11s %12s %10s %14s %9s %9s %11s\n",
 		"experiment", "partitions", "wall", "events", "events/sec", "windows", "speedup", "crit-path")
 	for _, e := range exps {
-		var refTable []byte
+		var refTable string
 		var p1Wall int64
 		for _, parts := range benchPartitionCounts {
 			cell, table, err := benchCell(e, parts, quick)
 			if err != nil {
 				return fmt.Errorf("%s at %d partitions: %w", e.ID, parts, err)
 			}
-			if refTable == nil {
+			if parts == benchPartitionCounts[0] {
 				refTable = table
 				p1Wall = cell.WallNs
-			} else if !bytes.Equal(table, refTable) {
+			} else if table != refTable {
 				return fmt.Errorf("%s: table at %d partitions differs from the 1-partition reference — determinism violated", e.ID, parts)
 			}
 			cell.SpeedupVsP1 = float64(p1Wall) / float64(cell.WallNs)
@@ -267,59 +266,48 @@ func benchWorkloads(quick bool) ([]workloadBench, error) {
 }
 
 // benchCell runs one experiment at one partition count benchRepetitions
-// times, keeping the best wall time, and returns the measured cell plus the
-// table bytes for the cross-partition identity check.
-func benchCell(e core.Experiment, parts int, quick bool) (benchEntry, []byte, error) {
-	transform := core.Spec{Partitions: parts}.ConfigTransform()
+// times through lab.RunSpec, keeping the best wall time, and returns the
+// measured cell plus the table for the cross-partition identity check.
+func benchCell(e core.Experiment, parts int, quick bool) (benchEntry, string, error) {
+	spec := core.Spec{Experiment: e.ID, Quick: quick, Partitions: parts}
 	cell := benchEntry{Experiment: e.ID, Partitions: parts}
-	var table []byte
+	var table string
 	for rep := 0; rep < benchRepetitions; rep++ {
 		var engines []*sim.Engine
-		release := machine.ScopeHooks(transform, func(m *machine.Machine) {
+		res, err := lab.RunSpec(spec, func(m *machine.Machine) {
 			engines = append(engines, m.E)
 		})
-		var buf bytes.Buffer
-		start := time.Now()
-		err := e.Run(&buf, quick)
-		wall := time.Since(start).Nanoseconds()
-		release()
 		if err != nil {
-			return cell, nil, err
+			return cell, "", err
 		}
-		var events uint64
-		var vtime int64
 		var windows uint64
 		var barrierNs, sumBusy, maxBusy int64
 		for _, eng := range engines {
-			events += eng.Stats().Events
-			vtime += eng.Now()
 			w, b := eng.WindowStats()
 			windows += w
 			barrierNs += b
 			for _, pt := range eng.PartitionTimings() {
 				sumBusy += pt.BusyNs
-				if pt.BusyNs > maxBusy {
-					maxBusy = pt.BusyNs
-				}
+				maxBusy = max(maxBusy, pt.BusyNs)
 			}
 		}
 		if rep == 0 {
-			table = buf.Bytes()
-		} else if !bytes.Equal(buf.Bytes(), table) {
-			return cell, nil, fmt.Errorf("repetition %d produced a different table", rep+1)
+			table = res.Table
+		} else if res.Table != table {
+			return cell, "", fmt.Errorf("repetition %d produced a different table", rep+1)
 		}
-		if rep == 0 || wall < cell.WallNs {
-			cell.WallNs = wall
+		if rep == 0 || res.WallNs < cell.WallNs {
+			cell.WallNs = res.WallNs
 			cell.BarrierNs = barrierNs
 			cell.SumBusyNs = sumBusy
 			cell.MaxBusyNs = maxBusy
 			// The critical path a P-core host executes: every partition's
 			// in-window work overlapped, everything else (coordinator,
 			// barriers) unchanged.
-			cell.CriticalPathNs = wall - sumBusy + maxBusy
+			cell.CriticalPathNs = res.WallNs - sumBusy + maxBusy
 		}
-		cell.Events = events
-		cell.VTimeNs = vtime
+		cell.Events = res.Events
+		cell.VTimeNs = res.VTimeNs
 		cell.Windows = windows
 	}
 	cell.EventsPerSec = float64(cell.Events) / (float64(cell.WallNs) / 1e9)

@@ -20,16 +20,16 @@
 //	butterflybench -experiment service -workload 'pattern bursty; rate 6000; seed 7'
 //	butterflybench -experiment service -slo-report      # per-window SLO tables
 //
-// Experiment runs are deterministic and independent, so -parallel N fans
-// them out over the lab's worker pool and reassembles stdout in experiment
-// order — byte-identical to a sequential run, just faster on multi-core
-// hosts. -cache short-circuits experiments whose fingerprint (spec + code
-// version) already has a stored result.
-//
-// -server URL runs the same specs on a remote butterflyd instead of
-// in-process: submissions ride the lab client's retry/backoff discipline
-// (429s and daemon restarts are absorbed, not surfaced), and stdout stays
-// byte-identical to a local run because the simulations are deterministic.
+// Every run turns the flags into one lab spec per experiment and executes
+// the specs on one of three backends: in-process on the main goroutine
+// (lab.RunSpec), the lab scheduler's worker pool (-cache, or -parallel N
+// with more than one experiment), or a remote butterflyd (-server). The
+// simulations are deterministic, so stdout is byte-identical on all three;
+// the scheduler reassembles output in experiment order, and -cache
+// short-circuits experiments whose fingerprint (spec + code version)
+// already has a stored result. Against -server, submissions ride the lab
+// client's retry/backoff discipline (429s and daemon restarts are absorbed,
+// not surfaced).
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -44,14 +45,10 @@ import (
 	"time"
 
 	"butterfly/internal/core"
-	"butterfly/internal/fault"
 	"butterfly/internal/lab"
 	"butterfly/internal/lab/client"
 	"butterfly/internal/machine"
 	"butterfly/internal/probe"
-	"butterfly/internal/sim"
-	"butterfly/internal/switchnet"
-	"butterfly/internal/workload"
 )
 
 func main() {
@@ -67,7 +64,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit structured per-experiment results as JSON on stdout")
 		timing     = flag.Bool("timing", false, "report per-experiment wall-clock time and simulated events/sec on stderr")
 		probeOn    = flag.Bool("probe", false, "attach observability probes and print a contention report per machine on stderr")
-		traceOut   = flag.String("trace-out", "", "record a Chrome trace-event JSON of the run to this file (implies -probe, forces sequential)")
+		traceOut   = flag.String("trace-out", "", "record a Chrome trace-event JSON of one -experiment to this file (implies -probe; runs in-process, so not with -server or -cache)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		faults     = flag.String("faults", "", "fault schedule: directives like 'seed 7; drop 0.001; kill 5 @ 10ms', or @file to read one")
 		faultSeed  = flag.Uint64("fault-seed", 0, "override the fault schedule's random seed (requires -faults)")
@@ -80,109 +77,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// Everything about a spec is checked by Spec.Validate before the first
+	// run starts; these are the checks a spec cannot see.
 	if *partitions < 0 {
-		fmt.Fprintln(os.Stderr, "butterflybench: -partitions must be >= 0")
-		os.Exit(1)
+		fail(fmt.Errorf("-partitions must be >= 0"))
 	}
-	if *topology != "" {
-		if _, err := switchnet.ParseTopology(*topology); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: -topology: %v\n", err)
-			os.Exit(1)
-		}
+	if *parallel < 1 {
+		fail(fmt.Errorf("-parallel must be >= 1"))
 	}
 	if *benchOut != "" {
 		if err := runBenchOut(*benchOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: -bench-out: %v\n", err)
-			os.Exit(1)
+			fail(fmt.Errorf("-bench-out: %w", err))
 		}
 		return
 	}
 
-	// An explicit -fault-seed of 0 must not be confused with "flag absent":
-	// presence is what flag.Visit reports, so seed 0 works and garbage was
-	// already rejected by the flag package's uint64 parser.
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "fault-seed" {
-			seedSet = true
-		}
-	})
-	if seedSet && *faults == "" {
-		fmt.Fprintln(os.Stderr, "butterflybench: -fault-seed has no effect without -faults")
-		os.Exit(1)
-	}
-	if *partitions > 0 && *faults != "" {
-		fmt.Fprintln(os.Stderr, "butterflybench: -faults and -partitions are incompatible (fault injection needs the sequential engine)")
-		os.Exit(1)
-	}
-	if *faults != "" {
-		// Parse eagerly so a bad schedule fails before any experiment runs,
-		// whichever execution path is taken.
-		if _, err := fault.ParseConfig(*faults); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: -faults: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// -slo-report is sugar for the 'detail' workload directive, so it rides
-	// the same string through specs and the lab cache fingerprint.
-	workloadStr := *workloadFl
-	if *sloReport {
-		if workloadStr != "" {
-			workloadStr += "; detail"
-		} else {
-			workloadStr = "detail"
-		}
-	}
-	if workloadStr != "" {
-		if _, err := workload.Parse(workloadStr, workload.Default()); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: -workload: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	if *parallel < 1 {
-		fmt.Fprintln(os.Stderr, "butterflybench: -parallel must be >= 1")
-		os.Exit(1)
-	}
-	cacheOn := *useCache && !*noCache
-
-	// -all submits through the lab scheduler (parallel workers, optional
-	// cache, ordered reassembly); single experiments run in-process unless
-	// caching or JSON output was requested. Trace export needs the machine
-	// hook on the main goroutine, so it forces the in-process path.
-	useLab := (*all || cacheOn || *jsonOut) && *traceOut == ""
-	if *traceOut != "" && (cacheOn || *jsonOut) {
-		fmt.Fprintln(os.Stderr, "butterflybench: -trace-out requires in-process sequential execution (drop -cache/-json)")
-		os.Exit(1)
-	}
-	if *server != "" {
-		// Remote execution: the trace recorder needs the machine hook in
-		// this process, and caching is the daemon's decision, not ours.
-		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "butterflybench: -trace-out requires in-process execution (drop -server)")
-			os.Exit(1)
-		}
-		if cacheOn {
-			fmt.Fprintln(os.Stderr, "butterflybench: -cache is the daemon's policy; drop it when using -server")
-			os.Exit(1)
-		}
-	}
-
-	var seeds []core.Experiment
+	var exps []core.Experiment
 	switch {
 	case *list:
 		fmt.Printf("%-10s %s\n", "ID", "TITLE")
@@ -193,125 +103,117 @@ func main() {
 	case *expID != "":
 		e, ok := core.Lookup(*expID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "butterflybench: unknown experiment %q (try -list)\n", *expID)
-			os.Exit(1)
+			fail(fmt.Errorf("unknown experiment %q (try -list)", *expID))
 		}
-		seeds = []core.Experiment{e}
+		exps = []core.Experiment{e}
 	case *all:
-		seeds = core.Experiments()
+		exps = core.Experiments()
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *partitions > 0 {
-		for _, e := range seeds {
-			if !e.Partitionable {
-				fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not partitionable; -partitions ignored for it\n", e.ID)
-			}
-		}
-	}
-	if workloadStr != "" {
-		for _, e := range seeds {
-			if !e.WorkloadDriven {
-				fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not workload-driven; -workload/-slo-report ignored for it\n", e.ID)
-			}
-		}
-	}
-
-	if *server != "" {
-		runViaServer(*server, seeds, labOpts{
-			quick:      *quick,
-			jsonOut:    *jsonOut,
-			timing:     *timing,
-			probe:      *probeOn,
-			faults:     *faults,
-			faultSeed:  ptrIf(seedSet, *faultSeed),
-			partitions: *partitions,
-			workload:   workloadStr,
-			topology:   *topology,
-			headers:    *all,
-		})
-		return
-	}
-
-	if useLab {
-		runViaLab(seeds, labOpts{
-			quick:      *quick,
-			parallel:   *parallel,
-			cacheOn:    cacheOn,
-			cacheDir:   *cacheDir,
-			jsonOut:    *jsonOut,
-			timing:     *timing,
-			probe:      *probeOn,
-			faults:     *faults,
-			faultSeed:  ptrIf(seedSet, *faultSeed),
-			partitions: *partitions,
-			workload:   workloadStr,
-			topology:   *topology,
-			headers:    *all, // -all prints the banner between experiments
-		})
-		return
-	}
-
-	// Sequential in-process path.
-	if workloadStr != "" {
-		workload.SetAmbient(workloadStr)
-	}
-	if *faults != "" {
-		cfg, err := fault.ParseConfig(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: -faults: %v\n", err)
-			os.Exit(1)
-		}
-		if seedSet {
-			cfg.Seed = *faultSeed
-		}
-		fault.SetAmbient(cfg)
-	}
-	opts := runOpts{
+	o := runOpts{
+		parallel:   *parallel,
+		cacheDir:   *cacheDir,
+		server:     *server,
+		quick:      *quick,
+		jsonOut:    *jsonOut,
 		timing:     *timing,
 		probe:      *probeOn || *traceOut != "",
 		traceOut:   *traceOut,
+		faults:     *faults,
 		partitions: *partitions,
+		workload:   *workloadFl,
 		topology:   *topology,
+		headers:    *all, // -all prints the banner between experiments
 	}
-	if *expID != "" {
-		e := seeds[0]
-		fmt.Printf("===== %s: %s =====\npaper: %s\n\n", e.ID, e.Title, e.Paper)
-		if err := runOne(e, *quick, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: %v\n", err)
-			os.Exit(1)
+	// An explicit -fault-seed of 0 must not be confused with "flag absent":
+	// presence is what flag.Visit reports, so seed 0 works and garbage was
+	// already rejected by the flag package's uint64 parser.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "fault-seed" {
+			o.faultSeed = faultSeed
 		}
-		return
+	})
+	// -slo-report is sugar for the 'detail' workload directive, so it rides
+	// the same string through specs and the lab cache fingerprint.
+	if *sloReport {
+		if o.workload != "" {
+			o.workload += "; detail"
+		} else {
+			o.workload = "detail"
+		}
 	}
-	for _, e := range seeds {
-		fmt.Printf("\n===== %s: %s =====\n", e.ID, e.Title)
-		fmt.Printf("paper: %s\n\n", e.Paper)
-		if err := runOne(e, *quick, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: experiment %s: %v\n", e.ID, err)
-			os.Exit(1)
+	cacheOn := *useCache && !*noCache
+	switch {
+	case *server != "":
+		// Caching is the daemon's decision, not ours.
+		if cacheOn {
+			fail(fmt.Errorf("-cache is the daemon's policy; drop it when using -server"))
 		}
+		o.backend = remoteBackend
+	case cacheOn:
+		o.backend = schedulerBackend
+		o.cacheOn = true
+	case *parallel > 1 && len(exps) > 1:
+		o.backend = schedulerBackend
+	}
+	// The trace recorder needs every machine built in this process, and it
+	// holds every event in memory until the file is written: one
+	// experiment's worth.
+	if *traceOut != "" && (o.backend != inProcessBackend || len(exps) != 1) {
+		fail(fmt.Errorf("-trace-out records one -experiment in-process (drop -all, -server, and -cache)"))
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if err := run(os.Stdout, exps, o); err != nil {
+		pprof.StopCPUProfile()
+		fail(err)
 	}
 }
 
-// ptrIf returns &v when set, else nil.
-func ptrIf(set bool, v uint64) *uint64 {
-	if !set {
-		return nil
-	}
-	return &v
+// fail reports err with the command's prefix and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "butterflybench: %v\n", err)
+	os.Exit(1)
 }
 
-// labOpts bundles the lab execution path's switches.
-type labOpts struct {
+// backend names where a batch of specs executes.
+type backend int
+
+const (
+	// inProcessBackend runs each spec through lab.RunSpec on the calling
+	// goroutine, one after another.
+	inProcessBackend backend = iota
+	// schedulerBackend submits every spec to an in-process lab scheduler.
+	schedulerBackend
+	// remoteBackend submits every spec to a butterflyd over HTTP.
+	remoteBackend
+)
+
+// runOpts bundles the switches one batch runs under.
+type runOpts struct {
+	backend    backend
+	parallel   int    // scheduler workers
+	cacheOn    bool   // scheduler: serve hits from the result cache
+	cacheDir   string // scheduler: result cache directory
+	server     string // remote: butterflyd base URL
 	quick      bool
-	parallel   int
-	cacheOn    bool
-	cacheDir   string
 	jsonOut    bool
 	timing     bool
 	probe      bool
+	traceOut   string // in-process: Chrome trace-event output file
 	faults     string
 	faultSeed  *uint64
 	partitions int
@@ -320,23 +222,36 @@ type labOpts struct {
 	headers    bool
 }
 
-// specFor builds the lab spec for one experiment, applying the partition
-// override only where the registry allows it.
-func specFor(e core.Experiment, o labOpts) core.Spec {
+// specFor builds the lab spec for one experiment. An override the
+// experiment does not honour is dropped with a note on stderr, so one flag
+// set can drive a whole -all batch.
+func specFor(e core.Experiment, o runOpts) core.Spec {
 	spec := core.Spec{
 		Experiment: e.ID,
 		Quick:      o.quick,
 		Probe:      o.probe,
 		Faults:     o.faults,
 		FaultSeed:  o.faultSeed,
+		Topology:   o.topology,
 	}
-	if e.Partitionable {
-		spec.Partitions = o.partitions
+	if o.faults != "" && e.ManagesFaults {
+		fmt.Fprintf(os.Stderr, "butterflybench: note: %s manages its own faults; -faults ignored for it\n", e.ID)
+		spec.Faults, spec.FaultSeed = "", nil
 	}
-	if e.WorkloadDriven {
-		spec.Workload = o.workload
+	if o.partitions > 0 {
+		if e.Partitionable {
+			spec.Partitions = o.partitions
+		} else {
+			fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not partitionable; -partitions ignored for it\n", e.ID)
+		}
 	}
-	spec.Topology = o.topology
+	if o.workload != "" {
+		if e.WorkloadDriven {
+			spec.Workload = o.workload
+		} else {
+			fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not workload-driven; -workload/-slo-report ignored for it\n", e.ID)
+		}
+	}
 	return spec
 }
 
@@ -355,271 +270,216 @@ type jsonResult struct {
 	Fingerprint  string   `json:"fingerprint"`
 }
 
-// runViaLab submits every experiment to an in-process lab scheduler and
-// reassembles output in experiment order. Stdout is byte-identical to the
-// sequential path (or a JSON document with -json); timing, probe reports,
-// and cache accounting go to stderr.
-func runViaLab(exps []core.Experiment, o labOpts) {
-	var cache *lab.Cache
-	if o.cacheOn {
-		cache = lab.OpenCache(o.cacheDir)
-	}
-	sched := lab.NewScheduler(lab.Config{Workers: o.parallel, QueueDepth: len(exps) + 1, Cache: cache})
-
-	start := time.Now()
-	jobs := make([]*lab.Job, 0, len(exps))
-	for _, e := range exps {
-		j, err := sched.Submit(specFor(e, o))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: submit %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		jobs = append(jobs, j)
-	}
-
-	var jsonResults []jsonResult
-	for i, j := range jobs {
-		e := exps[i]
-		res, err := j.Wait()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: experiment %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		emitResult(e, res, o, &jsonResults)
-	}
-	emitJSON(o, jsonResults)
-	if o.timing {
-		line := fmt.Sprintf("[timing] total      wall=%-12s workers=%d jobs=%d",
-			time.Since(start).Round(time.Microsecond), o.parallel, len(jobs))
-		if cache != nil {
-			cs := cache.Stats()
-			line += fmt.Sprintf(" cache-hits=%d cache-misses=%d", cs.Hits, cs.Misses)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
+// tracedMachine is one machine whose probe streamed into a recorder under
+// -trace-out.
+type tracedMachine struct {
+	label string
+	rec   *probe.Recorder
 }
 
-// emitResult writes one experiment's output exactly as the sequential path
-// would: table (or collected JSON row) on stdout, timing and probe reports
-// on stderr.
-func emitResult(e core.Experiment, res *core.Result, o labOpts, jsonResults *[]jsonResult) {
-	if o.jsonOut {
-		*jsonResults = append(*jsonResults, jsonResult{
-			ID:           e.ID,
-			Title:        e.Title,
-			Rows:         strings.Split(strings.TrimRight(res.Table, "\n"), "\n"),
-			Machines:     res.Machines,
-			Events:       res.Events,
-			VTimeNs:      res.VTimeNs,
-			WallNs:       res.WallNs,
-			EventsPerSec: res.EventsPerSec(),
-			CacheHit:     res.CacheHit,
-			Attempts:     res.Attempts,
-			Fingerprint:  res.Fingerprint,
-		})
-	} else {
-		if o.headers {
-			fmt.Printf("\n===== %s: %s =====\n", e.ID, e.Title)
-			fmt.Printf("paper: %s\n\n", e.Paper)
-		} else {
-			fmt.Printf("===== %s: %s =====\npaper: %s\n\n", e.ID, e.Title, e.Paper)
+// run executes every experiment on o's backend and writes the tables (or
+// the -json document) to stdout in experiment order. Every spec is
+// validated before the first one runs. Timing lines, probe reports, and
+// notes go to stderr.
+func run(stdout io.Writer, exps []core.Experiment, o runOpts) error {
+	specs := make([]core.Spec, len(exps))
+	for i, e := range exps {
+		specs[i] = specFor(e, o)
+		if err := specs[i].Validate(); err != nil {
+			return err
 		}
-		fmt.Print(res.Table)
-	}
-	if o.timing {
-		served := "miss"
-		if res.CacheHit {
-			served = "hit"
-		}
-		fmt.Fprintf(os.Stderr, "[timing] %-10s wall=%-12s machines=%-3d events=%-9d events/sec=%.0f vtime=%s cache=%s\n",
-			e.ID, time.Duration(res.WallNs).Round(time.Microsecond), res.Machines, res.Events,
-			res.EventsPerSec(), time.Duration(res.VTimeNs), served)
-	}
-	if o.probe && res.ProbeReport != "" {
-		fmt.Fprintf(os.Stderr, "\n%s", res.ProbeReport)
-	}
-}
-
-// emitJSON flushes the collected -json document.
-func emitJSON(o labOpts, jsonResults []jsonResult) {
-	if !o.jsonOut {
-		return
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(jsonResults); err != nil {
-		fmt.Fprintf(os.Stderr, "butterflybench: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// runViaServer submits every experiment to a remote butterflyd and
-// reassembles output in experiment order, exactly like runViaLab but over
-// HTTP. The client absorbs 429 backpressure and daemon restarts with
-// retries; a spec that ultimately cannot run is a hard error.
-func runViaServer(base string, exps []core.Experiment, o labOpts) {
-	c := client.New(base)
-	ctx := context.Background()
-	readyCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := c.WaitReady(readyCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "butterflybench: server %s not ready: %v\n", base, err)
-		os.Exit(1)
 	}
 
 	start := time.Now()
-	ids := make([]string, 0, len(exps))
-	for _, e := range exps {
-		st, err := c.Submit(ctx, specFor(e, o))
+	// wait(i) blocks for the i-th result; summary ends the total timing line.
+	var wait func(i int) (*core.Result, error)
+	var summary func() string
+	// machines is the in-process backend's view of the current experiment.
+	var machines []*machine.Machine
+	var current string
+	var traced []tracedMachine
+	switch o.backend {
+	case remoteBackend:
+		c := client.New(o.server)
+		ctx := context.Background()
+		readyCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		err := c.WaitReady(readyCtx)
+		cancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: submit %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("server %s not ready: %w", o.server, err)
 		}
-		ids = append(ids, st.ID)
-	}
-
-	var jsonResults []jsonResult
-	for i, id := range ids {
-		e := exps[i]
-		res, err := c.WaitResult(ctx, id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "butterflybench: experiment %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		emitResult(e, res, o, &jsonResults)
-	}
-	emitJSON(o, jsonResults)
-	if o.timing {
-		fmt.Fprintf(os.Stderr, "[timing] total      wall=%-12s server=%s jobs=%d\n",
-			time.Since(start).Round(time.Microsecond), base, len(ids))
-	}
-}
-
-// runOpts bundles the observation switches threaded through runOne.
-type runOpts struct {
-	timing     bool
-	probe      bool
-	traceOut   string
-	partitions int
-	topology   string
-}
-
-// probedMachine pairs a machine with the probe attached to it (and, when a
-// trace is requested, the recorder collecting its event stream).
-type probedMachine struct {
-	m   *machine.Machine
-	pr  *probe.Probe
-	rec *probe.Recorder
-}
-
-// runOne executes one experiment, optionally reporting how fast the
-// simulator itself ran it (wall-clock time and engine events per second) and
-// optionally attaching observability probes. Probe reports, timing lines, and
-// the trace file all stay off stdout so instrumented runs still produce
-// byte-identical tables.
-func runOne(e core.Experiment, quick bool, opts runOpts) error {
-	// The ambient -faults schedule is attached to every machine the
-	// experiment boots — unless the experiment manages its own injectors.
-	injectFaults := fault.Ambient() != nil && fault.Ambient().Enabled() && !e.ManagesFaults
-	raiseParts := opts.partitions > 0 && e.Partitionable
-	reTopo := opts.topology != ""
-	if !opts.timing && !opts.probe && !injectFaults && !raiseParts && !reTopo {
-		return e.Run(os.Stdout, quick)
-	}
-	var transform func(machine.Config) machine.Config
-	if raiseParts || reTopo {
-		sp := core.Spec{Topology: opts.topology}
-		if raiseParts {
-			sp.Partitions = opts.partitions
-		}
-		transform = sp.ConfigTransform()
-	}
-	var engines []*sim.Engine
-	var probed []probedMachine
-	release := machine.ScopeHooks(transform, func(m *machine.Machine) {
-		engines = append(engines, m.E)
-		if injectFaults {
-			m.AttachFaults(fault.NewInjector(*fault.Ambient()))
-		}
-		if opts.probe {
-			pm := probedMachine{m: m}
-			if opts.traceOut != "" {
-				pm.rec = &probe.Recorder{}
-				pm.pr = probe.New(pm.rec)
-			} else {
-				pm.pr = probe.New(nil)
+		ids := make([]string, len(specs))
+		for i, spec := range specs {
+			st, err := c.Submit(ctx, spec)
+			if err != nil {
+				return fmt.Errorf("submit %s: %w", spec.Experiment, err)
 			}
-			m.AttachProbe(pm.pr)
-			probed = append(probed, pm)
+			ids[i] = st.ID
 		}
-	})
-	defer release()
-	start := time.Now()
-	err := e.Run(os.Stdout, quick)
-	wall := time.Since(start)
-	if opts.timing {
-		var events, parks, flushes uint64
-		var vtime int64
+		wait = func(i int) (*core.Result, error) { return c.WaitResult(ctx, ids[i]) }
+		summary = func() string { return "server=" + o.server }
+	case schedulerBackend:
+		var cache *lab.Cache
+		if o.cacheOn {
+			cache = lab.OpenCache(o.cacheDir)
+		}
+		sched := lab.NewScheduler(lab.Config{Workers: o.parallel, QueueDepth: len(specs) + 1, Cache: cache})
+		defer func() {
+			// By now every job has finished, or the batch failed and the
+			// rest are abandoned: cancel them rather than drain them.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			sched.Shutdown(ctx)
+		}()
+		jobs := make([]*lab.Job, len(specs))
+		for i, spec := range specs {
+			j, err := sched.Submit(spec)
+			if err != nil {
+				return fmt.Errorf("submit %s: %w", spec.Experiment, err)
+			}
+			jobs[i] = j
+		}
+		wait = func(i int) (*core.Result, error) { return jobs[i].Wait() }
+		summary = func() string {
+			s := fmt.Sprintf("workers=%d", o.parallel)
+			if cache != nil {
+				cs := cache.Stats()
+				s += fmt.Sprintf(" cache-hits=%d cache-misses=%d", cs.Hits, cs.Misses)
+			}
+			return s
+		}
+	default:
+		observe := func(m *machine.Machine) {
+			machines = append(machines, m)
+			if o.traceOut != "" {
+				// Point the lab-attached probe at a recorder: the contention
+				// report and the trace come from one probe per machine.
+				rec := &probe.Recorder{}
+				m.Probe().SetSink(rec)
+				label := fmt.Sprintf("%s machine %d (N=%d)", current, len(machines)-1, m.N())
+				traced = append(traced, tracedMachine{label: label, rec: rec})
+			}
+		}
+		wait = func(i int) (*core.Result, error) {
+			machines, current = nil, specs[i].Experiment
+			return lab.RunSpec(specs[i], observe)
+		}
+		summary = func() string { return "in-process" }
+	}
+
+	var docs []jsonResult
+	for i, e := range exps {
+		res, err := wait(i)
+		if err != nil {
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
+		}
+		if o.jsonOut {
+			docs = append(docs, jsonResult{
+				ID:           e.ID,
+				Title:        e.Title,
+				Rows:         strings.Split(strings.TrimRight(res.Table, "\n"), "\n"),
+				Machines:     res.Machines,
+				Events:       res.Events,
+				VTimeNs:      res.VTimeNs,
+				WallNs:       res.WallNs,
+				EventsPerSec: res.EventsPerSec(),
+				CacheHit:     res.CacheHit,
+				Attempts:     res.Attempts,
+				Fingerprint:  res.Fingerprint,
+			})
+		} else {
+			if o.headers {
+				fmt.Fprintf(stdout, "\n===== %s: %s =====\n", e.ID, e.Title)
+				fmt.Fprintf(stdout, "paper: %s\n\n", e.Paper)
+			} else {
+				fmt.Fprintf(stdout, "===== %s: %s =====\npaper: %s\n\n", e.ID, e.Title, e.Paper)
+			}
+			io.WriteString(stdout, res.Table)
+		}
+		if o.timing {
+			writeTiming(e.ID, res, machines)
+		}
+		if o.probe && res.ProbeReport != "" {
+			fmt.Fprintf(os.Stderr, "\n%s", res.ProbeReport)
+		}
+	}
+	if o.jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(docs); err != nil {
+			return fmt.Errorf("json: %w", err)
+		}
+	}
+	if o.traceOut != "" {
+		if err := writeTrace(o.traceOut, traced); err != nil {
+			return fmt.Errorf("trace-out: %w", err)
+		}
+	}
+	if o.timing {
+		fmt.Fprintf(os.Stderr, "[timing] total      wall=%-12s jobs=%d %s\n",
+			time.Since(start).Round(time.Microsecond), len(exps), summary())
+	}
+	return nil
+}
+
+// writeTiming reports how fast the simulator ran one experiment on stderr.
+// machines, known only in-process, adds the per-engine counters: parks,
+// lazy flushes, maximum heap depth, and one line per partition.
+func writeTiming(id string, res *core.Result, machines []*machine.Machine) {
+	served := "miss"
+	if res.CacheHit {
+		served = "hit"
+	}
+	line := fmt.Sprintf("[timing] %-10s wall=%-12s machines=%-3d events=%-9d events/sec=%.0f vtime=%s cache=%s",
+		id, time.Duration(res.WallNs).Round(time.Microsecond), res.Machines, res.Events,
+		res.EventsPerSec(), time.Duration(res.VTimeNs), served)
+	if machines != nil {
+		var parks, flushes uint64
 		maxHeap := 0
-		for _, eng := range engines {
-			st := eng.Stats()
-			events += st.Events
+		for _, m := range machines {
+			st := m.E.Stats()
 			parks += st.Parks
 			flushes += st.LazyFlushes
-			if st.MaxHeapDepth > maxHeap {
-				maxHeap = st.MaxHeapDepth
-			}
-			vtime += eng.Now()
+			maxHeap = max(maxHeap, st.MaxHeapDepth)
 		}
-		fmt.Fprintf(os.Stderr, "[timing] %-10s wall=%-12s machines=%-3d events=%-9d events/sec=%.0f vtime=%s parks=%d lazyflushes=%d maxheap=%d\n",
-			e.ID, wall.Round(time.Microsecond), len(engines), events,
-			float64(events)/wall.Seconds(), time.Duration(vtime), parks, flushes, maxHeap)
-		for mi, eng := range engines {
-			pts := eng.PartitionTimings()
-			if pts == nil {
-				continue
-			}
-			windows, barrierNs := eng.WindowStats()
-			fmt.Fprintf(os.Stderr, "[timing] %-10s machine %d: %d partitions, %d windows, barrier=%s\n",
-				e.ID, mi, len(pts), windows, time.Duration(barrierNs).Round(time.Microsecond))
-			for _, pt := range pts {
-				fmt.Fprintf(os.Stderr, "[timing] %-10s   partition %-2d events=%-9d compute=%-12s sync-wait=%-12s idle=%s\n",
-					e.ID, pt.ID, pt.Events,
-					time.Duration(pt.BusyNs).Round(time.Microsecond),
-					time.Duration(pt.SyncWaitNs).Round(time.Microsecond),
-					time.Duration(pt.IdleNs).Round(time.Microsecond))
-			}
+		line += fmt.Sprintf(" parks=%d lazyflushes=%d maxheap=%d", parks, flushes, maxHeap)
+	}
+	fmt.Fprintln(os.Stderr, line)
+	for mi, m := range machines {
+		pts := m.E.PartitionTimings()
+		if pts == nil {
+			continue
+		}
+		windows, barrierNs := m.E.WindowStats()
+		fmt.Fprintf(os.Stderr, "[timing] %-10s machine %d: %d partitions, %d windows, barrier=%s\n",
+			id, mi, len(pts), windows, time.Duration(barrierNs).Round(time.Microsecond))
+		for _, pt := range pts {
+			fmt.Fprintf(os.Stderr, "[timing] %-10s   partition %-2d events=%-9d compute=%-12s sync-wait=%-12s idle=%s\n",
+				id, pt.ID, pt.Events,
+				time.Duration(pt.BusyNs).Round(time.Microsecond),
+				time.Duration(pt.SyncWaitNs).Round(time.Microsecond),
+				time.Duration(pt.IdleNs).Round(time.Microsecond))
 		}
 	}
-	if opts.probe {
-		for i, pm := range probed {
-			fmt.Fprintf(os.Stderr, "\n[probe] %s machine %d/%d\n", e.ID, i+1, len(probed))
-			pm.pr.Metrics().WriteReport(os.Stderr, pm.m.E.Now(), 8)
-		}
-	}
-	if opts.traceOut != "" {
-		if werr := writeTrace(opts.traceOut, e.ID, probed); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
 }
 
-// writeTrace merges every probed machine's event stream into one Chrome
+// writeTrace merges every traced machine's event stream into one Chrome
 // trace-event JSON file, one pid per machine.
-func writeTrace(path, expID string, probed []probedMachine) error {
+func writeTrace(path string, traced []tracedMachine) error {
 	var all []probe.ChromeEvent
-	for i, pm := range probed {
-		label := fmt.Sprintf("%s machine %d (N=%d)", expID, i, pm.m.N())
-		all = append(all, probe.EventsToChrome(i, label, pm.rec.Events)...)
+	for i, tm := range traced {
+		all = append(all, probe.EventsToChrome(i, tm.label, tm.rec.Events)...)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("trace-out: %w", err)
+		return err
 	}
-	defer f.Close()
 	if err := probe.WriteChromeJSON(f, all); err != nil {
-		return fmt.Errorf("trace-out: %w", err)
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "[probe] wrote %d trace events to %s\n", len(all), path)
 	return nil

@@ -114,11 +114,11 @@ func TestExperimentDeterminism(t *testing.T) {
 func faultedFingerprint(t *testing.T, e core.Experiment, cfg fault.Config) string {
 	t.Helper()
 	var engines []*sim.Engine
-	machine.SetNewHook(func(m *machine.Machine) {
+	release := machine.ScopeHooks(nil, func(m *machine.Machine) {
 		engines = append(engines, m.E)
 		m.AttachFaults(fault.NewInjector(cfg))
 	})
-	defer machine.SetNewHook(nil)
+	defer release()
 	if err := e.Run(io.Discard, true); err != nil {
 		t.Fatalf("experiment %s (faulted): %v", e.ID, err)
 	}

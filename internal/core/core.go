@@ -61,9 +61,9 @@ type Experiment struct {
 	// Run executes the experiment, writing its table to w. quick selects a
 	// reduced-scale variant for tests and smoke runs.
 	Run func(w io.Writer, quick bool) error
-	// ManagesFaults marks experiments that attach their own fault injectors;
-	// the driver must not also attach the ambient -faults configuration to
-	// their machines.
+	// ManagesFaults marks experiments that attach their own fault injectors:
+	// a spec's faults (Spec.Faults, `butterflybench -faults`) are ignored
+	// for them, and the lab never attaches an injector to their machines.
 	ManagesFaults bool
 	// WorkloadDriven marks experiments that serve an open-loop workload:
 	// they honor a workload directive string (Spec.Workload,

@@ -18,26 +18,14 @@ func init() {
 		Title: "Graceful degradation under injected node failures",
 		Paper: "with up to 256 processors, individual node failures are a fact of life; the PNC retries dropped packets and applications must redistribute work from dead processors",
 		Run:   runDegrade,
-		// The experiment builds its own kill schedules per column; the driver
-		// must not also attach the ambient -faults configuration.
+		// The experiment builds its own kill schedules per column over a
+		// fixed background; a spec's faults are ignored.
 		ManagesFaults: true,
 	})
 }
 
 // degradeNodes is the machine size for every degradation sweep.
 const degradeNodes = 64
-
-// degradeBase returns the fault configuration shared by every column: the
-// ambient -faults config if one was given (its kill schedule is discarded —
-// the experiment derives its own), else a light transient-fault background.
-func degradeBase() fault.Config {
-	if amb := fault.Ambient(); amb != nil && amb.Enabled() {
-		c := *amb
-		c.Failures = nil
-		return c
-	}
-	return fault.Config{Seed: 1, DropProb: 0.0005}
-}
 
 // killSchedule kills the k highest-numbered nodes (node 0 hosts the
 // generators and coordinators and never dies), spread across the middle of
@@ -59,7 +47,9 @@ func runDegrade(w io.Writer, quick bool) error {
 	if quick {
 		fails = []int{0, 2, 8}
 	}
-	base := degradeBase()
+	// Every column shares a light transient-fault background and adds its
+	// own kill schedule.
+	base := fault.Config{Seed: 1, DropProb: 0.0005}
 
 	// (a) Uniform System: scattered row fetch + flops, redistributing the
 	// tasks of dead workers and re-fetching lost rows from a node-0 replica.

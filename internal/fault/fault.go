@@ -427,13 +427,3 @@ func (f *Injector) ParityHit() bool {
 	}
 	return false
 }
-
-// ambient is the process-wide fault schedule installed by the -faults flag;
-// the benchmark driver attaches a fresh injector per machine from it.
-var ambient *Config
-
-// SetAmbient installs (or, with nil, clears) the process-wide fault config.
-func SetAmbient(c *Config) { ambient = c }
-
-// Ambient returns the process-wide fault config, or nil.
-func Ambient() *Config { return ambient }

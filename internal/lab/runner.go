@@ -72,11 +72,14 @@ func (x *execState) wasInterrupted() bool {
 	return x.interrupted
 }
 
-// executeOnce runs one attempt of the spec on the calling goroutine. The
-// worker must be the only user of machine.ScopeHooks on this goroutine.
-// Tables go to a private buffer and probe reports to the result, so
-// concurrent jobs never interleave output.
-func executeOnce(exp core.Experiment, spec core.Spec, st *execState) (res *core.Result, err error) {
+// executeOnce runs one attempt of the spec on the calling goroutine. It is
+// the one place a spec becomes a configured run: machine-config transform,
+// fault injector, probe, and workload scope. The worker must be the only
+// user of machine.ScopeHooks on this goroutine. Tables go to a private
+// buffer and probe reports to the result, so concurrent jobs never
+// interleave output. Every observer sees every machine after the lab's own
+// hooks have armed it.
+func executeOnce(exp core.Experiment, spec core.Spec, st *execState, observe []func(*machine.Machine)) (res *core.Result, err error) {
 	faultCfg, err := spec.FaultConfig()
 	if err != nil {
 		return nil, err
@@ -90,8 +93,7 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState) (res *core.
 	var engines []*sim.Engine
 	var probed []probedMachine
 	// The workload directive rides a goroutine scope, like the machine
-	// hooks: two lab workers can run different workloads concurrently, and
-	// an empty scope shields lab jobs from any ambient CLI workload.
+	// hooks: two lab workers can run different workloads concurrently.
 	wlRelease := workload.Scope(spec.Workload)
 	defer wlRelease()
 	release := machine.ScopeHooks(spec.ConfigTransform(), func(m *machine.Machine) {
@@ -104,6 +106,9 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState) (res *core.
 			pr := probe.New(nil)
 			m.AttachProbe(pr)
 			probed = append(probed, probedMachine{m: m, pr: pr})
+		}
+		for _, fn := range observe {
+			fn(m)
 		}
 	})
 	defer release()
@@ -155,8 +160,9 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState) (res *core.
 // runSpec executes a validated spec with its retry/timeout policy and
 // returns the finished result (Attempts set) or the final error. canceled,
 // when non-nil, is consulted between attempts and wired to the watchdog so
-// an external cancel interrupts a running simulation.
-func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState)) (*core.Result, error) {
+// an external cancel interrupts a running simulation. The observers see
+// every machine of every attempt (see executeOnce).
+func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState), observe []func(*machine.Machine)) (*core.Result, error) {
 	exp, ok := core.Lookup(spec.Experiment)
 	if !ok {
 		return nil, fmt.Errorf("lab: unknown experiment %q", spec.Experiment)
@@ -173,7 +179,7 @@ func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState)) (*
 		if spec.TimeoutMs > 0 {
 			watchdog = time.AfterFunc(time.Duration(spec.TimeoutMs)*time.Millisecond, st.interrupt)
 		}
-		res, err := executeOnce(exp, spec, st)
+		res, err := executeOnce(exp, spec, st, observe)
 		if watchdog != nil {
 			watchdog.Stop()
 		}
@@ -195,13 +201,16 @@ func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState)) (*
 }
 
 // RunSpec executes one spec synchronously on the calling goroutine, outside
-// any scheduler — the building block butterflybench's sequential paths and
-// tests use. The spec is validated first.
-func RunSpec(spec core.Spec) (*core.Result, error) {
+// any scheduler — butterflybench's in-process backend and -bench-out run
+// every experiment through it. The spec is validated first. Each observer
+// sees every machine the run builds, after the lab has attached the spec's
+// faults and probe; the CLI reads per-engine counters and redirects probe
+// event streams through it.
+func RunSpec(spec core.Spec, observe ...func(*machine.Machine)) (*core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := runSpec(spec, nil, nil)
+	res, err := runSpec(spec, nil, nil, observe)
 	if err != nil {
 		return nil, err
 	}

@@ -459,7 +459,7 @@ func (s *Scheduler) runJob(j *Job) {
 		if s.cfg.Execute != nil {
 			res, err = s.cfg.Execute(j.Spec, j.Fingerprint, j.isCanceled)
 		} else {
-			res, err = runSpec(j.Spec, j.isCanceled, j.bindExec)
+			res, err = runSpec(j.Spec, j.isCanceled, j.bindExec, nil)
 		}
 	}
 	s.busy.Add(-1)

@@ -319,26 +319,11 @@ func New(cfg Config) *Machine {
 		})
 	}
 	m.wordTransit = m.fixedTransitNs(wordBytes)
-	if scope != nil {
-		if scope.onNew != nil {
-			scope.onNew(m)
-		}
-	} else if newHook != nil {
-		newHook(m)
+	if scope != nil && scope.onNew != nil {
+		scope.onNew(m)
 	}
 	return m
 }
-
-// newHook, when non-nil, observes every Machine built. The golden
-// determinism test and butterflybench's sequential reporting use it to reach
-// the engines an experiment creates internally. Goroutines with ScopeHooks
-// registered see their scoped hooks instead (see scope.go).
-var newHook func(*Machine)
-
-// SetNewHook installs an observer called with every Machine New builds.
-// Pass nil to remove it. Not safe for concurrent use with New — concurrent
-// callers (the experiment lab's workers) must use ScopeHooks instead.
-func SetNewHook(fn func(*Machine)) { newHook = fn }
 
 // Stats returns a copy of the machine counters (summed across partition
 // shards on a partitioned machine).

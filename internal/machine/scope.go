@@ -8,12 +8,10 @@ import (
 
 // The experiment lab runs independent simulations concurrently, one per
 // worker OS thread, and each worker needs to observe (and optionally
-// re-parameterize) exactly the machines its own job builds. The global
-// SetNewHook cannot express that — it is process-wide and documented as
-// unsafe for concurrent use — so New also consults a goroutine-scoped hook
-// table: a worker registers its hooks with ScopeHooks, runs the job's
-// experiment on the same goroutine, and releases them. Machines built by
-// other goroutines never see them.
+// re-parameterize) exactly the machines its own job builds. New therefore
+// consults a goroutine-scoped hook table: a worker registers its hooks with
+// ScopeHooks, runs the job's experiment on the same goroutine, and releases
+// them. Machines built by other goroutines never see them.
 //
 // Experiments construct their machines on the goroutine that called
 // Experiment.Run (simulated processes are goroutines, but they only use
@@ -26,8 +24,7 @@ type hookScope struct {
 	// (hardware preset, node count) without threading parameters through
 	// every experiment signature.
 	config func(Config) Config
-	// onNew, when non-nil, observes every machine after assembly, exactly
-	// like the global new-machine hook.
+	// onNew, when non-nil, observes every machine after assembly.
 	onNew func(*Machine)
 }
 
@@ -43,9 +40,8 @@ var (
 // calling goroutine: config (may be nil) rewrites every Config before New
 // assembles the machine, and onNew (may be nil) observes every machine New
 // builds. The returned release function unregisters them and must be called
-// on any goroutine when the scope ends. Scoped hooks take precedence over
-// the global SetNewHook hook. Registering twice on one goroutine without
-// releasing panics.
+// on any goroutine when the scope ends. Registering twice on one goroutine
+// without releasing panics.
 func ScopeHooks(config func(Config) Config, onNew func(*Machine)) (release func()) {
 	id := goid()
 	scopeMu.Lock()

@@ -48,24 +48,6 @@ func TestScopeHooksIsolation(t *testing.T) {
 	}
 }
 
-func TestScopeHooksPrecedenceOverGlobal(t *testing.T) {
-	var global, scoped int
-	SetNewHook(func(*Machine) { global++ })
-	defer SetNewHook(nil)
-
-	release := ScopeHooks(nil, func(*Machine) { scoped++ })
-	New(DefaultConfig(2))
-	release()
-	if scoped != 1 || global != 0 {
-		t.Errorf("scoped=%d global=%d; the scope must shadow the global hook", scoped, global)
-	}
-
-	New(DefaultConfig(2))
-	if global != 1 {
-		t.Errorf("global hook not restored after release: %d", global)
-	}
-}
-
 func TestScopeHooksDoubleRegisterPanics(t *testing.T) {
 	release := ScopeHooks(nil, func(*Machine) {})
 	defer release()

@@ -182,6 +182,11 @@ type Probe struct {
 // New creates a probe. sink may be nil to aggregate metrics only.
 func New(sink Sink) *Probe { return &Probe{sink: sink} }
 
+// SetSink points the probe's raw event stream at sink (nil stops
+// forwarding). Call it before the simulation runs; metrics are aggregated
+// either way.
+func (p *Probe) SetSink(sink Sink) { p.sink = sink }
+
 // Metrics exposes the aggregated counters. The pointer stays valid for the
 // probe's lifetime; read it after the simulation finishes.
 func (p *Probe) Metrics() *Metrics { return &p.met }

@@ -827,9 +827,10 @@ func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
 // TrapPanics switches the engine into trapped mode: a real panic in a
 // process body (not a Terminator, not Exit) aborts the run and surfaces
 // from Run as an error naming the process and panic value, instead of
-// propagating and crashing the host. Services that execute
-// externally-supplied specs (the lab scheduler) enable this; tests and the
-// CLI keep the default crash-loud behaviour. Must be called before Run.
+// propagating and crashing the host. The lab's runner enables this for
+// every engine it observes, so butterflyd and butterflybench (which runs
+// every spec through the lab) both trap; only tests that run experiments
+// directly keep the default crash-loud behaviour. Must be called before Run.
 func (e *Engine) TrapPanics() { e.trapPanics = true }
 
 // Kill terminates another process from outside, modelling a node failure: the

@@ -6,25 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Workload directives travel to a workload-driven experiment the same two
-// ways a fault schedule does: an ambient string set once by a sequential
-// driver (`butterflybench -workload`), and a goroutine-scoped override for
-// the lab's concurrent workers, where two jobs with different workloads run
-// at once and a process-wide ambient would race. The scoped form mirrors
-// machine.ScopeHooks — experiments read their workload on the goroutine
-// that called Experiment.Run, which is exactly the lab worker's goroutine.
-
-var ambientDirectives atomic.Pointer[string]
-
-// SetAmbient installs the process-wide workload directive string (empty
-// string clears it). Sequential drivers only; the lab uses Scope.
-func SetAmbient(directives string) {
-	if directives == "" {
-		ambientDirectives.Store(nil)
-		return
-	}
-	ambientDirectives.Store(&directives)
-}
+// Workload directives travel to a workload-driven experiment through a
+// goroutine scope, like machine.ScopeHooks: the lab's runner registers the
+// spec's directive string on the goroutine that calls Experiment.Run, and
+// experiments read it back there. Two lab workers running different
+// workloads at once never see each other's string.
 
 var (
 	// scopeCount gates the goroutine-id lookup, so experiments outside the
@@ -34,10 +20,9 @@ var (
 	scopes     map[uint64]string
 )
 
-// Scope installs directives visible only on the calling goroutine,
-// shadowing the ambient string. The returned release must be called when
-// the job ends; registering twice on one goroutine without releasing
-// panics.
+// Scope installs directives visible only on the calling goroutine. The
+// returned release must be called when the job ends; registering twice on
+// one goroutine without releasing panics.
 func Scope(directives string) (release func()) {
 	id := goid()
 	scopeMu.Lock()
@@ -59,23 +44,16 @@ func Scope(directives string) (release func()) {
 	}
 }
 
-// Current returns the directive string in effect for the calling
-// goroutine: its scoped string if one is registered (even when empty),
-// else the ambient string, else "".
+// Current returns the directive string scoped to the calling goroutine, or
+// "" when none is registered.
 func Current() string {
-	if scopeCount.Load() > 0 {
-		id := goid()
-		scopeMu.RLock()
-		s, ok := scopes[id]
-		scopeMu.RUnlock()
-		if ok {
-			return s
-		}
+	if scopeCount.Load() == 0 {
+		return ""
 	}
-	if p := ambientDirectives.Load(); p != nil {
-		return *p
-	}
-	return ""
+	id := goid()
+	scopeMu.RLock()
+	defer scopeMu.RUnlock()
+	return scopes[id]
 }
 
 // goid parses the runtime's goroutine id from a one-goroutine stack dump

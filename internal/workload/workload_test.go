@@ -138,32 +138,17 @@ func TestParseDurationUnits(t *testing.T) {
 	}
 }
 
-func TestScopeShadowsAmbient(t *testing.T) {
-	SetAmbient("rate 111")
-	defer SetAmbient("")
-
-	if got := Current(); got != "rate 111" {
-		t.Fatalf("ambient not visible: %q", got)
+func TestScopeVisibleUntilRelease(t *testing.T) {
+	if got := Current(); got != "" {
+		t.Fatalf("no scope registered, yet Current() = %q", got)
 	}
 	release := Scope("rate 222")
 	if got := Current(); got != "rate 222" {
-		t.Errorf("scope did not shadow ambient: %q", got)
+		t.Errorf("scoped value not visible on its goroutine: %q", got)
 	}
 	release()
-	if got := Current(); got != "rate 111" {
-		t.Errorf("release did not restore ambient: %q", got)
-	}
-}
-
-func TestEmptyScopeShieldsAmbient(t *testing.T) {
-	// A lab job with no workload axis must NOT inherit the CLI's ambient
-	// string — an empty scoped value wins over a non-empty ambient.
-	SetAmbient("rate 333")
-	defer SetAmbient("")
-	release := Scope("")
-	defer release()
 	if got := Current(); got != "" {
-		t.Errorf("empty scope leaked ambient %q", got)
+		t.Errorf("release did not clear the scoped value: %q", got)
 	}
 }
 
