@@ -73,7 +73,6 @@ func main() {
 		workloadFl = flag.String("workload", "", "workload directives for workload-driven experiments, e.g. 'pattern bursty; rate 6000; seed 7; duration 60ms'")
 		topology   = flag.String("topology", "", "interconnect family for every machine booted: butterfly (default), fattree, dragonfly, or mesh")
 		sloReport  = flag.Bool("slo-report", false, "print the full per-window SLO table for workload-driven experiments (sugar for the 'detail' workload directive)")
-		benchOut   = flag.String("bench-out", "", "run every partitionable experiment at 1/2/4/8 partitions, verify byte-identical tables, and write a JSON scaling report to this file")
 	)
 	flag.Parse()
 
@@ -84,12 +83,6 @@ func main() {
 	}
 	if *parallel < 1 {
 		fail(fmt.Errorf("-parallel must be >= 1"))
-	}
-	if *benchOut != "" {
-		if err := runBenchOut(*benchOut, *quick); err != nil {
-			fail(fmt.Errorf("-bench-out: %w", err))
-		}
-		return
 	}
 
 	var exps []core.Experiment
@@ -177,7 +170,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(os.Stdout, exps, o); err != nil {
+	if err := run(os.Stdout, os.Stderr, exps, o); err != nil {
 		pprof.StopCPUProfile()
 		fail(err)
 	}
@@ -225,7 +218,7 @@ type runOpts struct {
 // specFor builds the lab spec for one experiment. An override the
 // experiment does not honour is dropped with a note on stderr, so one flag
 // set can drive a whole -all batch.
-func specFor(e core.Experiment, o runOpts) core.Spec {
+func specFor(stderr io.Writer, e core.Experiment, o runOpts) core.Spec {
 	spec := core.Spec{
 		Experiment: e.ID,
 		Quick:      o.quick,
@@ -235,21 +228,21 @@ func specFor(e core.Experiment, o runOpts) core.Spec {
 		Topology:   o.topology,
 	}
 	if o.faults != "" && e.ManagesFaults {
-		fmt.Fprintf(os.Stderr, "butterflybench: note: %s manages its own faults; -faults ignored for it\n", e.ID)
+		fmt.Fprintf(stderr, "butterflybench: note: %s manages its own faults; -faults ignored for it\n", e.ID)
 		spec.Faults, spec.FaultSeed = "", nil
 	}
 	if o.partitions > 0 {
 		if e.Partitionable {
 			spec.Partitions = o.partitions
 		} else {
-			fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not partitionable; -partitions ignored for it\n", e.ID)
+			fmt.Fprintf(stderr, "butterflybench: note: %s is not partitionable; -partitions ignored for it\n", e.ID)
 		}
 	}
 	if o.workload != "" {
 		if e.WorkloadDriven {
 			spec.Workload = o.workload
 		} else {
-			fmt.Fprintf(os.Stderr, "butterflybench: note: %s is not workload-driven; -workload/-slo-report ignored for it\n", e.ID)
+			fmt.Fprintf(stderr, "butterflybench: note: %s is not workload-driven; -workload/-slo-report ignored for it\n", e.ID)
 		}
 	}
 	return spec
@@ -281,10 +274,10 @@ type tracedMachine struct {
 // the -json document) to stdout in experiment order. Every spec is
 // validated before the first one runs. Timing lines, probe reports, and
 // notes go to stderr.
-func run(stdout io.Writer, exps []core.Experiment, o runOpts) error {
+func run(stdout, stderr io.Writer, exps []core.Experiment, o runOpts) error {
 	specs := make([]core.Spec, len(exps))
 	for i, e := range exps {
-		specs[i] = specFor(e, o)
+		specs[i] = specFor(stderr, e, o)
 		if err := specs[i].Validate(); err != nil {
 			return err
 		}
@@ -397,10 +390,10 @@ func run(stdout io.Writer, exps []core.Experiment, o runOpts) error {
 			io.WriteString(stdout, res.Table)
 		}
 		if o.timing {
-			writeTiming(e.ID, res, machines)
+			writeTiming(stderr, e.ID, res, machines)
 		}
 		if o.probe && res.ProbeReport != "" {
-			fmt.Fprintf(os.Stderr, "\n%s", res.ProbeReport)
+			fmt.Fprintf(stderr, "\n%s", res.ProbeReport)
 		}
 	}
 	if o.jsonOut {
@@ -411,21 +404,21 @@ func run(stdout io.Writer, exps []core.Experiment, o runOpts) error {
 		}
 	}
 	if o.traceOut != "" {
-		if err := writeTrace(o.traceOut, traced); err != nil {
+		if err := writeTrace(stderr, o.traceOut, traced); err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
 	}
 	if o.timing {
-		fmt.Fprintf(os.Stderr, "[timing] total      wall=%-12s jobs=%d %s\n",
+		fmt.Fprintf(stderr, "[timing] total      wall=%-12s jobs=%d %s\n",
 			time.Since(start).Round(time.Microsecond), len(exps), summary())
 	}
 	return nil
 }
 
-// writeTiming reports how fast the simulator ran one experiment on stderr.
+// writeTiming reports how fast the simulator ran one experiment to w.
 // machines, known only in-process, adds the per-engine counters: parks,
 // lazy flushes, maximum heap depth, and one line per partition.
-func writeTiming(id string, res *core.Result, machines []*machine.Machine) {
+func writeTiming(w io.Writer, id string, res *core.Result, machines []*machine.Machine) {
 	served := "miss"
 	if res.CacheHit {
 		served = "hit"
@@ -444,17 +437,17 @@ func writeTiming(id string, res *core.Result, machines []*machine.Machine) {
 		}
 		line += fmt.Sprintf(" parks=%d lazyflushes=%d maxheap=%d", parks, flushes, maxHeap)
 	}
-	fmt.Fprintln(os.Stderr, line)
+	fmt.Fprintln(w, line)
 	for mi, m := range machines {
 		pts := m.E.PartitionTimings()
 		if pts == nil {
 			continue
 		}
 		windows, barrierNs := m.E.WindowStats()
-		fmt.Fprintf(os.Stderr, "[timing] %-10s machine %d: %d partitions, %d windows, barrier=%s\n",
+		fmt.Fprintf(w, "[timing] %-10s machine %d: %d partitions, %d windows, barrier=%s\n",
 			id, mi, len(pts), windows, time.Duration(barrierNs).Round(time.Microsecond))
 		for _, pt := range pts {
-			fmt.Fprintf(os.Stderr, "[timing] %-10s   partition %-2d events=%-9d compute=%-12s sync-wait=%-12s idle=%s\n",
+			fmt.Fprintf(w, "[timing] %-10s   partition %-2d events=%-9d compute=%-12s sync-wait=%-12s idle=%s\n",
 				id, pt.ID, pt.Events,
 				time.Duration(pt.BusyNs).Round(time.Microsecond),
 				time.Duration(pt.SyncWaitNs).Round(time.Microsecond),
@@ -464,8 +457,8 @@ func writeTiming(id string, res *core.Result, machines []*machine.Machine) {
 }
 
 // writeTrace merges every traced machine's event stream into one Chrome
-// trace-event JSON file, one pid per machine.
-func writeTrace(path string, traced []tracedMachine) error {
+// trace-event JSON file, one pid per machine, and notes it on stderr.
+func writeTrace(stderr io.Writer, path string, traced []tracedMachine) error {
 	var all []probe.ChromeEvent
 	for i, tm := range traced {
 		all = append(all, probe.EventsToChrome(i, tm.label, tm.rec.Events)...)
@@ -481,6 +474,6 @@ func writeTrace(path string, traced []tracedMachine) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "[probe] wrote %d trace events to %s\n", len(all), path)
+	fmt.Fprintf(stderr, "[probe] wrote %d trace events to %s\n", len(all), path)
 	return nil
 }

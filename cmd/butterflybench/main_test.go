@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 
 	"butterfly/internal/core"
@@ -55,7 +57,7 @@ func TestBackendsAgree(t *testing.T) {
 				o.quick = true
 				b.set(&o)
 				var out bytes.Buffer
-				if err := run(&out, exps, o); err != nil {
+				if err := run(&out, io.Discard, exps, o); err != nil {
 					t.Fatalf("%s: %v", b.name, err)
 				}
 				if want == nil {
@@ -77,10 +79,10 @@ func TestBackendsAgree(t *testing.T) {
 func TestManagedFaultsIgnored(t *testing.T) {
 	exps := []core.Experiment{experiment("degrade")}
 	var plain, faulted bytes.Buffer
-	if err := run(&plain, exps, runOpts{quick: true}); err != nil {
+	if err := run(&plain, io.Discard, exps, runOpts{quick: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&faulted, exps, runOpts{quick: true, faults: "seed 3; drop 0.01"}); err != nil {
+	if err := run(&faulted, io.Discard, exps, runOpts{quick: true, faults: "seed 3; drop 0.01"}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain.Bytes(), faulted.Bytes()) {
@@ -107,11 +109,31 @@ func TestValidateBeforeRun(t *testing.T) {
 	for _, tc := range cases {
 		var out bytes.Buffer
 		tc.o.quick = true
-		if err := run(&out, tc.exps, tc.o); err == nil {
+		if err := run(&out, io.Discard, tc.exps, tc.o); err == nil {
 			t.Errorf("%s: run accepted the flag set", tc.name)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%s: %d bytes printed before validation failed", tc.name, out.Len())
+		}
+	}
+}
+
+// TestTimingReportsPartitions: -timing is the one place partition scaling is
+// measured, so a partitioned in-process run must report its machine's
+// windows and barrier time and one line per partition.
+func TestTimingReportsPartitions(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	o := runOpts{quick: true, timing: true, partitions: 2}
+	if err := run(&stdout, &stderr, []core.Experiment{experiment("pgauss")}, o); err != nil {
+		t.Fatal(err)
+	}
+	for _, re := range []string{
+		`(?m)^\[timing\] pgauss +machine 0: 2 partitions, [1-9]\d* windows, barrier=\S+$`,
+		`(?m)^\[timing\] pgauss +partition 0 +events=[1-9]\d* +compute=`,
+		`(?m)^\[timing\] pgauss +partition 1 +events=[1-9]\d* +compute=`,
+	} {
+		if n := len(regexp.MustCompile(re).FindAllIndex(stderr.Bytes(), -1)); n != 1 {
+			t.Errorf("%d lines match %s in -timing output:\n%s", n, re, stderr.Bytes())
 		}
 	}
 }

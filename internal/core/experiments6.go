@@ -3,9 +3,9 @@ package core
 // Modern-scale experiments on the topology subsystem: a STREAM-style triad
 // bandwidth sweep across data placements and interconnect families
 // (streamnuma), and the NYU-Ultracomputer hot-spot re-run with in-network
-// combining fetch-and-add switched on and off (combine). Both expose their
-// measurement cores as exported functions returning structured rows, so
-// `butterflybench -bench-out` records the same numbers the tables print.
+// combining fetch-and-add switched on and off (combine). streamNUMA and
+// combineHotspot measure one configuration into rows; each experiment's
+// table prints them.
 
 import (
 	"fmt"
@@ -32,22 +32,20 @@ func init() {
 	})
 }
 
-// StreamRow is one measured placement of the streamnuma experiment.
-type StreamRow struct {
-	Topology  string  `json:"topology"`
-	Placement string  `json:"placement"`
-	Nodes     int     `json:"nodes"`
-	Workers   int     `json:"workers"`
-	MBps      float64 `json:"mb_per_sec"`
-	// WordNs is the mean per-word reference time seen by one worker.
-	WordNs int64 `json:"word_ns"`
+// streamRow is one measured placement of the streamnuma experiment.
+type streamRow struct {
+	topology  string
+	placement string
+	mbps      float64
+	// wordNs is the mean per-word reference time seen by one worker.
+	wordNs int64
 }
 
 // streamComputeNs is the triad's per-element compute charge (two integer
 // operations' worth — STREAM is bandwidth-bound, not compute-bound).
 const streamComputeNs = 1000
 
-// StreamNUMA runs a STREAM-style triad (a[i] = b[i] + q*c[i]: two reads and
+// streamNUMA runs a STREAM-style triad (a[i] = b[i] + q*c[i]: two reads and
 // a write per element, 3 words) on the given interconnect with three data
 // placements:
 //
@@ -59,11 +57,11 @@ const streamComputeNs = 1000
 //	          Uniform System's scatter idiom), modelled per home node
 //
 // Workers run on nodes 1..workers so node 0 is always the far memory.
-func StreamNUMA(topology switchnet.Topology, nodes, workers, items int) ([]StreamRow, error) {
+func streamNUMA(topology switchnet.Topology, nodes, workers, items int) ([]streamRow, error) {
 	if workers >= nodes {
 		workers = nodes - 1
 	}
-	rows := make([]StreamRow, 0, 3)
+	rows := make([]streamRow, 0, 3)
 	for _, placement := range []string{"local", "remote", "striped"} {
 		cfg := ButterflyI(nodes)
 		cfg.Topology = topology
@@ -102,13 +100,11 @@ func StreamNUMA(topology switchnet.Topology, nodes, workers, items int) ([]Strea
 		}
 		words := int64(workers) * int64(items) * 3
 		bytes := float64(words * 4)
-		rows = append(rows, StreamRow{
-			Topology:  string(m.Topology()),
-			Placement: placement,
-			Nodes:     nodes,
-			Workers:   workers,
-			MBps:      bytes / (float64(elapsed) / 1e9) / 1e6,
-			WordNs:    elapsed / (int64(items) * 3),
+		rows = append(rows, streamRow{
+			topology:  string(m.Topology()),
+			placement: placement,
+			mbps:      bytes / (float64(elapsed) / 1e9) / 1e6,
+			wordNs:    elapsed / (int64(items) * 3),
 		})
 	}
 	return rows, nil
@@ -123,47 +119,43 @@ func runStreamNUMA(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "STREAM triad, %d workers x %d elements, %d nodes\n\n", workers, items, nodes)
 	fmt.Fprintf(w, "%-10s %-8s %12s %12s %10s\n", "topology", "placed", "MB/s", "us/word", "vs local")
 	for _, topo := range switchnet.Topologies() {
-		rows, err := StreamNUMA(topo, nodes, workers, items)
+		rows, err := streamNUMA(topo, nodes, workers, items)
 		if err != nil {
 			return err
 		}
 		var localMBps float64
 		for _, r := range rows {
-			if r.Placement == "local" {
-				localMBps = r.MBps
+			if r.placement == "local" {
+				localMBps = r.mbps
 			}
-			ratio := r.MBps / localMBps
+			ratio := r.mbps / localMBps
 			fmt.Fprintf(w, "%-10s %-8s %12.1f %12.3f %9.2fx\n",
-				r.Topology, r.Placement, r.MBps, float64(r.WordNs)/1000, ratio)
+				r.topology, r.placement, r.mbps, float64(r.wordNs)/1000, ratio)
 		}
 	}
 	fmt.Fprintf(w, "\npaper: spreading data over all memories relieves contention;\nthe mesh pays its sqrt(N) diameter on every remote word\n")
 	return nil
 }
 
-// CombineRow is one measured cell of the combining hot-spot experiment.
-type CombineRow struct {
-	Nodes     int    `json:"nodes"`
-	Combining bool   `json:"combining"`
-	Ops       uint64 `json:"ops"`
-	// CombinedPct is the share of fetch-and-adds merged in the network.
-	CombinedPct float64 `json:"combined_pct"`
-	MeanNs      int64   `json:"mean_ns"`
-	P99Ns       int64   `json:"p99_ns"`
-	// ContentionNs is the total time packets spent queued for switch
+// combineRow is one measured cell of the combining hot-spot experiment.
+type combineRow struct {
+	// combinedPct is the share of fetch-and-adds merged in the network.
+	combinedPct float64
+	meanNs      int64
+	p99Ns       int64
+	// contentionNs is the total time packets spent queued for switch
 	// links — the hot-spot tree convoy combining exists to remove.
-	ContentionNs int64  `json:"contention_ns"`
-	SavedHops    uint64 `json:"saved_hops"`
+	contentionNs int64
 }
 
 // combinePolls is how many fetch-and-adds each spinner issues.
 const combinePolls = 12
 
-// CombineHotspot drives every node but the owner into a closed-loop
+// combineHotspot drives every node but the owner into a closed-loop
 // fetch-and-add storm on one word of node 0's memory and measures the
 // per-operation latency distribution plus the switch-link contention, with
 // or without combining switches.
-func CombineHotspot(nodes int, combining bool) (CombineRow, error) {
+func combineHotspot(nodes int, combining bool) (combineRow, error) {
 	cfg := ButterflyI(nodes)
 	cfg.Combining = combining
 	m := machine.New(cfg)
@@ -180,10 +172,10 @@ func CombineHotspot(nodes int, combining bool) (CombineRow, error) {
 		})
 	}
 	if err := m.E.Run(); err != nil {
-		return CombineRow{}, err
+		return combineRow{}, err
 	}
 	if len(latencies) == 0 {
-		return CombineRow{}, fmt.Errorf("combine: no operations measured")
+		return combineRow{}, fmt.Errorf("combine: no operations measured")
 	}
 	var sum int64
 	for _, l := range latencies {
@@ -192,17 +184,13 @@ func CombineHotspot(nodes int, combining bool) (CombineRow, error) {
 	sorted := append([]int64(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	cs := m.CombineStats()
-	row := CombineRow{
-		Nodes:        nodes,
-		Combining:    combining,
-		Ops:          uint64(len(latencies)),
-		MeanNs:       sum / int64(len(latencies)),
-		P99Ns:        sorted[len(sorted)*99/100],
-		ContentionNs: m.Net.Stats().ContentionNs,
-		SavedHops:    cs.SavedHops,
+	row := combineRow{
+		meanNs:       sum / int64(len(latencies)),
+		p99Ns:        sorted[len(sorted)*99/100],
+		contentionNs: m.Net.Stats().ContentionNs,
 	}
 	if cs.Requests > 0 {
-		row.CombinedPct = 100 * float64(cs.Combined) / float64(cs.Requests)
+		row.combinedPct = 100 * float64(cs.Combined) / float64(cs.Requests)
 	}
 	return row, nil
 }
@@ -217,20 +205,15 @@ func runCombine(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "%6s %9s %12s %12s %16s %10s\n",
 		"nodes", "combining", "mean (us)", "p99 (us)", "contention (ms)", "combined")
 	for _, n := range counts {
-		var off CombineRow
 		for _, comb := range []bool{false, true} {
-			row, err := CombineHotspot(n, comb)
+			row, err := combineHotspot(n, comb)
 			if err != nil {
 				return err
 			}
-			if !comb {
-				off = row
-			}
 			fmt.Fprintf(w, "%6d %9v %12.2f %12.2f %16.3f %9.1f%%\n",
-				row.Nodes, row.Combining, float64(row.MeanNs)/1000, float64(row.P99Ns)/1000,
-				float64(row.ContentionNs)/1e6, row.CombinedPct)
+				n, comb, float64(row.meanNs)/1000, float64(row.p99Ns)/1000,
+				float64(row.contentionNs)/1e6, row.combinedPct)
 		}
-		_ = off
 	}
 	fmt.Fprintf(w, "\nUltracomputer: combining collapses the hot-spot convoy — the module\nsees one request per round trip no matter how many processors poll\n")
 	return nil

@@ -106,7 +106,7 @@ func startCoordinatorCfg(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *la
 }
 
 // waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {

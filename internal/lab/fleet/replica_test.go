@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 
 // openTestJournal opens a journal in a fresh temp dir and closes it with
 // the test.
-func openTestJournal(t *testing.T) *lab.Journal {
+func openTestJournal(t testing.TB) *lab.Journal {
 	t.Helper()
 	j, err := lab.OpenJournal(t.TempDir())
 	if err != nil {
@@ -25,7 +26,7 @@ func openTestJournal(t *testing.T) *lab.Journal {
 }
 
 // primaryFor serves a journal's replication endpoint over httptest.
-func primaryFor(t *testing.T, j *lab.Journal) (*Replicator, *httptest.Server) {
+func primaryFor(t testing.TB, j *lab.Journal) (*Replicator, *httptest.Server) {
 	t.Helper()
 	rep := NewReplicator(j)
 	mux := http.NewServeMux()
@@ -237,6 +238,59 @@ func TestFollowerTakeover(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].JobID != "j0001-aaaa" {
 		t.Fatalf("standby jobs after takeover = %+v", jobs)
 	}
+}
+
+// BenchmarkFollowerTakeover times a standby's promotion: a primary with a
+// fenced epoch and 100 submitted jobs streams to a follower with DeadAfter
+// 250 ms; the clock runs from the primary's listener and connections
+// vanishing to OnTakeover. It reports the mean as takeover-ms.
+func BenchmarkFollowerTakeover(b *testing.B) {
+	const deadAfter = 250 * time.Millisecond
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		primary := openTestJournal(b)
+		_, hts := primaryFor(b, primary)
+		if _, err := primary.BumpEpoch(); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < 100; k++ {
+			id := fmt.Sprintf("j%04d-bench", k+1)
+			spec := core.Spec{Experiment: "numa", Quick: true, Nodes: 16 + k}
+			if err := primary.Submitted(id, k+1, spec, "fp-"+id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		standby := openTestJournal(b)
+		promoted := make(chan uint64, 1)
+		f := NewFollower(FollowerConfig{
+			Self:       core.WorkerRecord{ID: "sb", URL: "http://sb"},
+			Primary:    hts.URL,
+			Journal:    standby,
+			DeadAfter:  deadAfter,
+			OnTakeover: func(epoch uint64) { promoted <- epoch },
+		})
+		f.Start()
+		b.Cleanup(f.Stop)
+		waitFor(b, "standby to sync", func() bool { return standby.Rec() == primary.Rec() })
+		b.StartTimer()
+
+		// SIGKILL equivalent: the listener and every open connection go.
+		killed := time.Now()
+		hts.Listener.Close()
+		hts.CloseClientConnections()
+		select {
+		case epoch := <-promoted:
+			total += time.Since(killed)
+			if epoch != 2 {
+				b.Fatalf("takeover epoch = %d, want 2 (primary fenced 1)", epoch)
+			}
+		case <-time.After(10 * time.Second):
+			b.Fatal("standby never took over")
+		}
+		b.StopTimer()
+	}
+	b.ReportMetric(float64(total.Microseconds())/1e3/float64(b.N), "takeover-ms")
 }
 
 // TestFencedCoordinatorStepsDown: a worker whose gate saw a newer epoch

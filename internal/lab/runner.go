@@ -201,11 +201,12 @@ func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState), ob
 }
 
 // RunSpec executes one spec synchronously on the calling goroutine, outside
-// any scheduler — butterflybench's in-process backend and -bench-out run
-// every experiment through it. The spec is validated first. Each observer
-// sees every machine the run builds, after the lab has attached the spec's
-// faults and probe; the CLI reads per-engine counters and redirects probe
-// event streams through it.
+// any scheduler — butterflybench's in-process backend runs every experiment
+// through it. The spec is validated first. Each observer sees every machine
+// the run builds, after the lab has attached the spec's faults and probe;
+// the CLI reads per-engine counters for -timing (parks, windows, barrier
+// time, per-partition compute) and redirects -trace-out's probe event
+// streams through it.
 func RunSpec(spec core.Spec, observe ...func(*machine.Machine)) (*core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -159,7 +159,7 @@ func Initialize(os *chrysalis.OS, cfg Config, program func(w *Worker)) (*US, err
 	// Generator on node 0; it doubles as worker 0 while a generation runs.
 	gen := &Worker{ID: 0, U: u}
 	u.workers = append([]*Worker{gen}, u.workers...)
-	pr, err := os.MakeProcess(nil, "us-generator", 0, 16, func(self *chrysalis.Process) {
+	_, err := os.MakeProcess(nil, "us-generator", 0, 16, func(self *chrysalis.Process) {
 		gen.P = self.P
 		u.genProc = self
 		u.doneEvent = os.NewEvent(self)
@@ -169,7 +169,6 @@ func Initialize(os *chrysalis.OS, cfg Config, program func(w *Worker)) (*US, err
 	if err != nil {
 		return nil, err
 	}
-	_ = pr
 	return u, nil
 }
 
