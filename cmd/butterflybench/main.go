@@ -323,6 +323,11 @@ func run(stdout, stderr io.Writer, exps []core.Experiment, o runOpts) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			sched.Shutdown(ctx)
+			if cache != nil {
+				if err := cache.Close(); err != nil {
+					fmt.Fprintf(stderr, "butterflybench: cache close: %v\n", err)
+				}
+			}
 		}()
 		jobs := make([]*lab.Job, len(specs))
 		for i, spec := range specs {

@@ -396,6 +396,11 @@ func main() {
 			log.Printf("journal close: %v", err)
 		}
 	}
+	if cache != nil {
+		if err := cache.Close(); err != nil {
+			log.Printf("cache close: %v", err)
+		}
+	}
 	if drainErr != nil {
 		log.Printf("drain incomplete, jobs canceled: %v", drainErr)
 		os.Exit(1)

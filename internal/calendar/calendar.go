@@ -20,13 +20,6 @@ type Calendar struct {
 	// to monotone per flow, so the next search usually resolves at or just
 	// after the hint without a binary search.
 	hint int
-	// Batch placement state: batchIv collects reservations placed against a
-	// frozen schedule (see BeginBatch); batchIdx is the monotone walk cursor;
-	// mergeBuf is reused scratch for the commit splice.
-	batchIv  []interval
-	batchIdx int
-	inBatch  bool
-	mergeBuf []interval
 }
 
 // Reserve books dur nanoseconds of server time at the earliest instant no
@@ -140,28 +133,41 @@ func (c *Calendar) ReserveRun(t, dur, gap int64, n int) (lastStart, totalWait in
 	return lastStart, totalWait
 }
 
+// BatchCalendar is a Calendar that can also place a batch of reservations
+// against its frozen schedule and splice them in with one merge pass (see
+// BeginBatch). Memory modules batch a sweep's bookings; switch links never
+// batch, so they carry only the plain Calendar's schedule.
+type BatchCalendar struct {
+	Calendar
+	// batchIv collects reservations placed against the frozen schedule;
+	// batchIdx is the monotone walk cursor.
+	batchIv  []interval
+	batchIdx int
+	inBatch  bool
+}
+
 // BeginBatch starts a placement batch: reservations made with BatchReserve
 // are placed against the current schedule without mutating it and spliced in
-// all at once by CommitBatch. A batch requires a monotone flow — each
+// all at once by CommitBatchScratch. A batch requires a monotone flow — each
 // request must arrive at or after the previous batch reservation's end —
 // which guarantees the batch's own pending reservations can never constrain
 // a later placement, so placing against the frozen schedule is exact.
 // Repeated single inserts each shift the schedule tail; a batch of k
 // reservations into a schedule of m intervals costs one O(m+k) merge
 // instead of k shifts.
-func (c *Calendar) BeginBatch() {
+func (c *BatchCalendar) BeginBatch() {
 	c.batchIv = c.batchIv[:0]
 	c.batchIdx = -1
 	c.inBatch = true
 }
 
 // InBatch reports whether a batch is open.
-func (c *Calendar) InBatch() bool { return c.inBatch }
+func (c *BatchCalendar) InBatch() bool { return c.inBatch }
 
 // BatchReserve books dur nanoseconds at the earliest instant no earlier
 // than t within the open batch and returns that start. t must be no earlier
 // than the end of the batch's previous reservation.
-func (c *Calendar) BatchReserve(t, dur int64) int64 {
+func (c *BatchCalendar) BatchReserve(t, dur int64) int64 {
 	if dur <= 0 {
 		return t
 	}
@@ -194,7 +200,7 @@ func (c *Calendar) BatchReserve(t, dur int64) int64 {
 // BatchReserveRun is ReserveRun within the open batch: n chained requests
 // of dur nanoseconds, each arriving gap nanoseconds after the previous
 // reservation's end.
-func (c *Calendar) BatchReserveRun(t, dur, gap int64, n int) (lastStart, totalWait int64) {
+func (c *BatchCalendar) BatchReserveRun(t, dur, gap int64, n int) (lastStart, totalWait int64) {
 	if n <= 0 || dur <= 0 {
 		return t, 0
 	}
@@ -208,23 +214,19 @@ func (c *Calendar) BatchReserveRun(t, dur, gap int64, n int) (lastStart, totalWa
 	return lastStart, totalWait
 }
 
-// Scratch is reusable merge scratch for CommitBatch. One Scratch may be
-// shared by any number of calendars whose commits are sequential (e.g. all
-// memory modules of one machine), so each machine grows one buffer instead
-// of one per module.
+// Scratch is reusable merge scratch for CommitBatchScratch. One Scratch may
+// be shared by any number of calendars whose commits are sequential (e.g.
+// all memory modules of one machine), so each machine grows one buffer
+// instead of one per module.
 type Scratch struct{ buf []interval }
 
-// CommitBatch splices the batch's reservations into the schedule with a
-// single merge pass and closes the batch, using the calendar's own scratch.
-func (c *Calendar) CommitBatch() { c.commit(&c.mergeBuf) }
-
-// CommitBatchScratch is CommitBatch with caller-provided merge scratch.
-func (c *Calendar) CommitBatchScratch(s *Scratch) { c.commit(&s.buf) }
-
-// commit splices the batch into the schedule. Only the window of existing
-// intervals that interleave with the batch's time range is merged
-// element-wise; the untouched suffix moves with one bulk copy.
-func (c *Calendar) commit(scratch *[]interval) {
+// CommitBatchScratch splices the batch's reservations into the schedule
+// with a single merge pass, using s as merge scratch, and closes the batch.
+// Only the window of existing intervals that interleave with the batch's
+// time range is merged element-wise; the untouched suffix moves with one
+// bulk copy.
+func (c *BatchCalendar) CommitBatchScratch(s *Scratch) {
+	scratch := &s.buf
 	news := c.batchIv
 	c.inBatch = false
 	if len(news) == 0 {

@@ -4,7 +4,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestCalendarCarriesOnlyItsSchedule pins the size of a plain Calendar: a
+// large machine holds tens of thousands of switch-link calendars, and the
+// batch state only memory modules use lives in BatchCalendar.
+func TestCalendarCarriesOnlyItsSchedule(t *testing.T) {
+	if got := unsafe.Sizeof(Calendar{}); got != 32 {
+		t.Errorf("sizeof(Calendar) = %d bytes, want 32 (the interval slice and the hint)", got)
+	}
+}
 
 func TestReserveEmpty(t *testing.T) {
 	var c Calendar

@@ -78,12 +78,13 @@ func (r *refCalendar) busy() int64 {
 	return total
 }
 
-// driveOps feeds one pseudo-random operation sequence to a Calendar and the
+// driveOps feeds one pseudo-random operation sequence to a BatchCalendar and the
 // reference model and fails on the first divergence. Arrival times are kept
 // at or after the prune floor, matching PruneBefore's contract.
 func driveOps(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
-	var cal Calendar
+	var cal BatchCalendar
+	var scratch Scratch
 	var ref refCalendar
 	var floor int64 // monotone lower bound on future arrivals
 	check := func(op string, got, want int64) {
@@ -123,7 +124,7 @@ func driveOps(t *testing.T, rng *rand.Rand, ops int) {
 				durs = append(durs, dur)
 				at = s + dur + rng.Int63n(3)*rng.Int63n(60) // next arrival ≥ this end
 			}
-			cal.CommitBatch()
+			cal.CommitBatchScratch(&scratch)
 			// A committed batch must equal the same flow folded through the
 			// model's sequential reserves.
 			for j := range starts {
@@ -131,7 +132,7 @@ func driveOps(t *testing.T, rng *rand.Rand, ops int) {
 					t.Fatalf("BatchReserve diverged: calendar start %d, model start %d", starts[j], ws)
 				}
 			}
-			check("CommitBatch", 0, 0)
+			check("CommitBatchScratch", 0, 0)
 		case 4: // advance the clock and prune history
 			floor += rng.Int63n(500)
 			cal.PruneBefore(floor)

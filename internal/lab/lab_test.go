@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,27 +123,195 @@ func TestCacheRoundTrip(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 {
 		t.Errorf("stats = %+v", st)
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(fp); !ok {
+		t.Error("miss after Close: a closed cache reopens its file")
+	}
 
 	if err := c.Put(&core.Result{}); err == nil {
 		t.Error("Put without fingerprint must fail")
+	}
+	if err := c.Put(&core.Result{Fingerprint: "a b"}); err == nil {
+		t.Error("Put of a fingerprint that would break its line must fail")
 	}
 }
 
 func TestCacheRejectsMismatchedBlob(t *testing.T) {
 	c := OpenCache(t.TempDir())
-	// A blob stored under one fingerprint but recording another (say, a
-	// hand-copied file) must not be served.
+	// A line keyed by one fingerprint but holding another's result (say, a
+	// hand-edited file) must not be served.
 	fpA := Fingerprint(core.Spec{Experiment: "numa", Quick: true})
 	fpB := Fingerprint(core.Spec{Experiment: "hotspot", Quick: true})
-	if err := c.Put(&core.Result{Fingerprint: fpB, Table: "x\n"}); err != nil {
+	if err := c.Put(&core.Result{Fingerprint: fpA, Table: "x\n"}); err != nil {
 		t.Fatal(err)
 	}
-	blob := c.path(fpB)
-	if err := copyFile(blob, c.path(fpA)); err != nil {
+	b, err := os.ReadFile(c.file())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(fpA); ok {
-		t.Error("cache served a blob whose recorded fingerprint mismatches its address")
+	if err := appendFile(c.file(), fpB+strings.TrimPrefix(string(b), fpA)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(fpB); ok {
+		t.Error("cache served a record whose result's fingerprint mismatches its key")
+	}
+	if _, ok := c.Get(fpA); !ok {
+		t.Error("the correctly keyed record was lost")
+	}
+}
+
+// TestCacheSharedFile: two Cache values on one directory stand in for two
+// processes sharing a cache. Their appends interleave in one file, each
+// one's miss finds the other's results, and a line torn by a writer that
+// died mid-record costs only that record.
+func TestCacheSharedFile(t *testing.T) {
+	dir := t.TempDir()
+	a, b := OpenCache(dir), OpenCache(dir)
+	result := func(nodes int) *core.Result {
+		spec := core.Spec{Experiment: "numa", Quick: true, Nodes: nodes}
+		return &core.Result{Spec: spec, Fingerprint: Fingerprint(spec), Table: fmt.Sprintf("table %d\n", nodes)}
+	}
+	served := func(c *Cache, nodes int) bool {
+		t.Helper()
+		got, ok := c.Get(result(nodes).Fingerprint)
+		if ok && got.Table != result(nodes).Table {
+			t.Fatalf("nodes=%d: served table %q", nodes, got.Table)
+		}
+		return ok
+	}
+	for n := 1; n <= 6; n++ {
+		c := a
+		if n%2 == 0 {
+			c = b
+		}
+		if err := c.Put(result(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 6; n++ {
+		if !served(a, n) || !served(b, n) {
+			t.Errorf("nodes=%d: a Put by one cache is not found by both", n)
+		}
+	}
+
+	// A writer dies mid-record: its line is never terminated.
+	torn := result(7).Fingerprint + ` {"spec":{"experiment":"numa"`
+	if err := appendFile(a.file(), torn); err != nil {
+		t.Fatal(err)
+	}
+	if served(b, 7) {
+		t.Error("a torn record was served")
+	}
+	if err := a.Put(result(8)); err != nil {
+		t.Fatal(err)
+	}
+	if !served(b, 8) || !served(a, 8) {
+		t.Error("the record written after a torn line was lost")
+	}
+	if served(a, 7) || served(b, 7) {
+		t.Error("a torn record was served once terminated")
+	}
+	for _, c := range []*Cache{a, b} {
+		if got := c.Len(); got != 7 {
+			t.Errorf("Len = %d, want 7 (the torn record alone lost)", got)
+		}
+	}
+	if err := b.Put(result(7)); err != nil {
+		t.Fatal(err)
+	}
+	if !served(a, 7) {
+		t.Error("re-running the torn record's job did not store it")
+	}
+
+	// A record longer than the scan buffer is indexed whole, also by a
+	// cache that scans the file from the start.
+	big := result(9)
+	big.Table = strings.Repeat("x", 200<<10) + "\n"
+	if err := a.Put(big); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cache{b, OpenCache(dir)} {
+		if got, ok := c.Get(big.Fingerprint); !ok || got.Table != big.Table {
+			t.Errorf("a %d-byte record was not served whole", len(big.Table))
+		}
+	}
+}
+
+// TestCacheConcurrentUse: workers of two caches on one directory Put and
+// Get at once; every result is found by both once its Put returns. Run
+// under -race it also checks the index's locking.
+func TestCacheConcurrentUse(t *testing.T) {
+	dir := t.TempDir()
+	caches := []*Cache{OpenCache(dir), OpenCache(dir)}
+	rs := benchResults(64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(rs); i += 4 {
+				if err := caches[w%2].Put(rs[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, c := range caches {
+					if _, ok := c.Get(rs[i].Fingerprint); !ok {
+						t.Errorf("result %d not found after its Put", i)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, c := range caches {
+		if got := c.Len(); got != len(rs) {
+			t.Errorf("Len = %d, want %d", got, len(rs))
+		}
+	}
+}
+
+// benchResults returns n results with distinct fingerprints and a table
+// the size of a quick numa run's.
+func benchResults(n int) []*core.Result {
+	table := strings.Repeat("nodes  local_ns  remote_ns  ratio\n", 24)
+	rs := make([]*core.Result, n)
+	for i := range rs {
+		spec := core.Spec{Experiment: "numa", Quick: true, Nodes: i + 1}
+		rs[i] = &core.Result{Spec: spec, Fingerprint: Fingerprint(spec), Table: table, Machines: 1, Events: 1000}
+	}
+	return rs
+}
+
+// BenchmarkCachePut times storing one result: one appended line per Put.
+func BenchmarkCachePut(b *testing.B) {
+	c := OpenCache(b.TempDir())
+	rs := benchResults(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Put(rs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheGet times a hit on a cache holding 1,000 results.
+func BenchmarkCacheGet(b *testing.B) {
+	c := OpenCache(b.TempDir())
+	rs := benchResults(1000)
+	for _, r := range rs {
+		if err := c.Put(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Get(rs[i%len(rs)].Fingerprint); !ok {
+			b.Fatal("miss on a stored result")
+		}
 	}
 }
 
@@ -420,14 +589,12 @@ func waitState(t *testing.T, j *Job, want State) {
 	t.Fatalf("job %s never reached state %s", j.ID, want)
 }
 
-// copyFile duplicates a cache blob for corruption tests.
-func copyFile(src, dst string) error {
-	b, err := os.ReadFile(src)
+// appendFile appends text to a file, as another writer would.
+func appendFile(path, text string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(dst, b, 0o644)
+	_, werr := f.WriteString(text)
+	return errors.Join(werr, f.Close())
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -245,7 +244,7 @@ func TestStatusReadsNoCacheBlob(t *testing.T) {
 		t.Fatalf("status requests read the cache: %+v before, %+v after", before, after)
 	}
 
-	if err := os.Remove(filepath.Join(cache.Dir(), sub.Fingerprint[:2], sub.Fingerprint+".json")); err != nil {
+	if err := os.Truncate(cache.file(), 0); err != nil {
 		t.Fatal(err)
 	}
 	st = JobStatus{}

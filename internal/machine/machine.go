@@ -311,12 +311,15 @@ func New(cfg Config) *Machine {
 	} else {
 		m.scr = make([]sweepScratch, 1)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m.Nodes = append(m.Nodes, &Node{
-			ID:   i,
-			Mem:  memory.NewModule(i, cfg.MemBytes, cfg.MemCycleNs),
-			SARs: memory.NewSARPool(),
-		})
+	// Node state is allocated as one slice per kind, so construction costs
+	// the same handful of allocations at any node count.
+	nodes := make([]Node, cfg.Nodes)
+	mods := memory.NewModules(0, cfg.Nodes, cfg.MemBytes, cfg.MemCycleNs)
+	sars := memory.NewSARPools(cfg.Nodes)
+	m.Nodes = make([]*Node, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = Node{ID: i, Mem: &mods[i], SARs: &sars[i]}
+		m.Nodes[i] = &nodes[i]
 	}
 	m.wordTransit = m.fixedTransitNs(wordBytes)
 	if scope != nil && scope.onNew != nil {

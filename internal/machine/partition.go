@@ -12,6 +12,12 @@ package machine
 // goes through the exchange — so the simulated timeline is independent of
 // how nodes are grouped into partitions.
 //
+// It follows that link calendars are touched only by the coordinator: the
+// in-window paths (local references and all-local sweeps) book the caller's
+// own memory module and never a switch link, and pruning runs at the
+// barrier. switchnet relies on this to allocate link calendars on their
+// first reservation without synchronization.
+//
 // The formulas mirror the classic paths in machine.go exactly (same
 // overheads, same transit and module-service sequence); only the issue
 // mechanism differs. Fault injection is rejected on partitioned machines, so

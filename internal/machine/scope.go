@@ -77,8 +77,10 @@ func currentScope() *hookScope {
 
 // goid returns the runtime's id for the calling goroutine, parsed from the
 // header of a single-goroutine stack dump ("goroutine 123 [running]:").
-// This costs about a microsecond, which is why it is guarded by scopeCount
-// and only paid on machine construction, never on a simulation hot path.
+// runtime.Stack walks the whole stack even into a 40-byte buffer, so this
+// measured 5.7 µs on a shallow stack and 35–46 µs at a depth of 30 frames
+// (2-CPU Xeon). That is why it is guarded by scopeCount and only paid on
+// machine construction, never on a simulation hot path.
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)

@@ -27,7 +27,7 @@ type Module struct {
 	// Size is the module capacity in bytes (1 MB standard, 4 MB expanded).
 	Size int
 
-	cal   calendar.Calendar
+	cal   calendar.BatchCalendar
 	alloc *FirstFit
 	stats ModuleStats
 	// failed marks the module dead (its node was failed by the fault
@@ -53,7 +53,25 @@ type ModuleStats struct {
 
 // NewModule creates a memory module of the given capacity.
 func NewModule(node int, size int, cycleNs int64) *Module {
-	return &Module{Node: node, CycleNs: cycleNs, Size: size, alloc: NewFirstFit(size)}
+	return &NewModules(node, 1, size, cycleNs)[0]
+}
+
+// NewModules creates n modules of the given capacity for nodes first..first+n-1.
+// A machine builds all its modules with one call: the modules, their
+// allocators, and the allocators' initial free spans are one slice each,
+// so construction costs a constant number of allocations at any node count.
+func NewModules(first, n, size int, cycleNs int64) []Module {
+	mods := make([]Module, n)
+	allocs := make([]FirstFit, n)
+	spans := make([]span, n)
+	for i := range mods {
+		spans[i] = span{0, size}
+		// Each free list is capped at its own span, so a list that grows
+		// reallocates instead of writing into a neighbour's.
+		allocs[i] = FirstFit{size: size, free: spans[i : i+1 : i+1]}
+		mods[i] = Module{Node: first + i, CycleNs: cycleNs, Size: size, alloc: &allocs[i]}
+	}
+	return mods
 }
 
 // Service performs a reference of the given number of words arriving at
@@ -126,19 +144,17 @@ func (m *Module) ServiceRun(now int64, words int, gap int64, local bool) (done i
 
 // BeginBatch opens a placement batch on the module's calendar: subsequent
 // ServiceBatch/ServiceRunBatch calls place reservations without mutating
-// the schedule, and CommitBatch splices them in with one merge pass. The
-// caller must issue a monotone flow (each reference arriving at or after
-// the previous one's completion) and commit before any other process can
-// touch the module — e.g. within a single engine event.
+// the schedule, and CommitBatchScratch splices them in with one merge
+// pass. The caller must issue a monotone flow (each reference arriving at
+// or after the previous one's completion) and commit before any other
+// process can touch the module — e.g. within a single engine event.
 func (m *Module) BeginBatch() { m.cal.BeginBatch() }
 
 // InBatch reports whether a placement batch is open.
 func (m *Module) InBatch() bool { return m.cal.InBatch() }
 
-// CommitBatch splices the open batch into the schedule.
-func (m *Module) CommitBatch() { m.cal.CommitBatch() }
-
-// CommitBatchScratch is CommitBatch with shared merge scratch.
+// CommitBatchScratch splices the open batch into the schedule, using the
+// shared merge scratch s.
 func (m *Module) CommitBatchScratch(s *calendar.Scratch) { m.cal.CommitBatchScratch(s) }
 
 // ServiceBatch is Service within the open placement batch.

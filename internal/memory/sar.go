@@ -59,18 +59,31 @@ type SARPool struct {
 	// freeByOrder[k] holds the start indices of free blocks of size
 	// MinSARBlock<<k, for k in 0..5.
 	freeByOrder [6][]int
-	allocated   map[int]int // start -> order, for validation
+	// allocated maps start -> order, for validation; made on the first
+	// allocation, since most nodes of a large machine never allocate one.
+	allocated map[int]int
 }
 
 // NewSARPool creates a full pool of SARsPerNode registers.
-func NewSARPool() *SARPool {
-	p := &SARPool{allocated: make(map[int]int)}
-	// 512 = 2 blocks of 256.
-	top := len(p.freeByOrder) - 1
-	for start := 0; start < SARsPerNode; start += MaxSARBlock {
-		p.freeByOrder[top] = append(p.freeByOrder[top], start)
+func NewSARPool() *SARPool { return &NewSARPools(1)[0] }
+
+// NewSARPools creates n full pools with a constant number of allocations:
+// the pools and their initial free lists are one slice each.
+func NewSARPools(n int) []SARPool {
+	const perPool = SARsPerNode / MaxSARBlock // 512 = 2 blocks of 256
+	pools := make([]SARPool, n)
+	starts := make([]int, n*perPool)
+	top := len(pools[0].freeByOrder) - 1
+	for i := range pools {
+		// Each free list is capped at its own window of starts, so a list
+		// that outgrows it reallocates instead of writing into a neighbour's.
+		free := starts[i*perPool : i*perPool : (i+1)*perPool]
+		for start := 0; start < SARsPerNode; start += MaxSARBlock {
+			free = append(free, start)
+		}
+		pools[i].freeByOrder[top] = free
 	}
-	return p
+	return pools
 }
 
 // orderFor returns the buddy order for a block of at least n SARs.
@@ -122,6 +135,9 @@ func (p *SARPool) Alloc(n int) (start, size int, err error) {
 		// Split: keep the low half, free the high half.
 		buddy := start + MinSARBlock<<j
 		p.freeByOrder[j] = append(p.freeByOrder[j], buddy)
+	}
+	if p.allocated == nil {
+		p.allocated = make(map[int]int)
 	}
 	p.allocated[start] = k
 	return start, MinSARBlock << k, nil

@@ -1,7 +1,5 @@
 package switchnet
 
-import "butterfly/internal/calendar"
-
 // Dragonfly geometry: groups of dfRouters routers, each concentrating
 // dfNodesPerRouter processing nodes, with an all-to-all web of global links
 // between groups. The 4x4 group mirrors the radix-4 switch elements of the
@@ -37,16 +35,15 @@ const (
 type DragonflyNet struct {
 	netBase
 	groups int
-	// term[n] is node n's terminal link (shared by injection and delivery;
-	// all hot-spot traffic to one node converges here).
-	term []calendar.Calendar
-	// local[g*a*a + from*a + to] is the directed local link between two
-	// routers of group g.
-	local []calendar.Calendar
-	// global[i*groups + j] is the directed global link from group i to j.
-	global   []calendar.Calendar
-	hopNs    int64
-	globalNs int64
+	// Link ids are laid out in three blocks. Id n < Nodes is node n's
+	// terminal link (shared by injection and delivery; all hot-spot
+	// traffic to one node converges here). Id localBase + g*a*a + from*a +
+	// to is the directed local link between two routers of group g. Id
+	// globalBase + i*groups + j is the directed global link from group i
+	// to j.
+	localBase, globalBase int
+	hopNs                 int64
+	globalNs              int64
 }
 
 // NewDragonfly builds a dragonfly over the shared link calibration. Any
@@ -60,14 +57,15 @@ func NewDragonfly(cfg Config) *DragonflyNet {
 		panic("switchnet: node count exceeds the supported maximum")
 	}
 	groups := (cfg.Nodes + dfGroupSize - 1) / dfGroupSize
+	localBase := cfg.Nodes
+	globalBase := localBase + groups*dfRouters*dfRouters
 	return &DragonflyNet{
-		netBase:  netBase{cfg: cfg},
-		groups:   groups,
-		term:     make([]calendar.Calendar, cfg.Nodes),
-		local:    make([]calendar.Calendar, groups*dfRouters*dfRouters),
-		global:   make([]calendar.Calendar, groups*groups),
-		hopNs:    cfg.HopLatency,
-		globalNs: cfg.HopLatency * dfGlobalHopFactor,
+		netBase:    netBase{cfg: cfg, links: newLinks(globalBase + groups*groups)},
+		groups:     groups,
+		localBase:  localBase,
+		globalBase: globalBase,
+		hopNs:      cfg.HopLatency,
+		globalNs:   cfg.HopLatency * dfGlobalHopFactor,
 	}
 }
 
@@ -131,25 +129,19 @@ func (d *DragonflyNet) PathPorts(src, dst int) [][2]int {
 	return d.pathAppend(src, dst, nil)
 }
 
-// cal resolves a (stage, link) pair to its calendar.
-func (d *DragonflyNet) cal(stage, link int) *calendar.Calendar {
+// linkID resolves a (stage, link) pair to its flat link id.
+func (d *DragonflyNet) linkID(stage, link int) int {
 	switch stage {
 	case dfStageTermOut, dfStageTermIn:
-		return &d.term[link]
+		return link
 	case dfStageGlobal:
-		return &d.global[link]
+		return d.globalBase + link
 	}
-	return &d.local[link]
+	return d.localBase + link
 }
 
 func (d *DragonflyNet) reserveHop(stage, link int, t, svc int64) int64 {
-	start := d.cal(stage, link).Reserve(t, svc)
-	d.stats.ContentionNs += start - t
-	if pr := d.probe; pr != nil {
-		pr.SwitchHop(start, svc, start-t, stage, link)
-	}
-	d.stats.TotalHops++
-	return start
+	return d.reserve(d.linkID(stage, link), stage, link, t, svc)
 }
 
 func (d *DragonflyNet) hopLatencyNs(stage int) int64 {
@@ -174,17 +166,4 @@ func (d *DragonflyNet) Transit(now int64, src, dst, bytes int) int64 {
 		t = start + d.hopLatencyNs(hp[0])
 	}
 	return t + svc
-}
-
-// Prune discards link reservations that ended before now.
-func (d *DragonflyNet) Prune(now int64) {
-	for i := range d.term {
-		d.term[i].PruneBefore(now)
-	}
-	for i := range d.local {
-		d.local[i].PruneBefore(now)
-	}
-	for i := range d.global {
-		d.global[i].PruneBefore(now)
-	}
 }

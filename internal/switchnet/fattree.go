@@ -1,7 +1,5 @@
 package switchnet
 
-import "butterfly/internal/calendar"
-
 // FatTreeNet is a k-ary full-bisection folded tree (a Clos network of the
 // kind modern datacenter fabrics build): nodes are the leaves of a radix-4
 // tree, a packet climbs to the least common ancestor of source and
@@ -21,13 +19,9 @@ type FatTreeNet struct {
 	levels int
 	// size is the rounded leaf space, Radix^levels; link ids live in
 	// [0, size) at every level.
-	size int
-	pow  [maxStages + 1]int
-	// up[l][w] / down[l][w] are the reservation calendars of the parallel
-	// links between level l and level l+1, indexed by wire position w:
-	// the link's subtree base plus the digit-selected parallel offset.
-	up, down [][]calendar.Calendar
-	hopNs    int64
+	size  int
+	pow   [maxStages + 1]int
+	hopNs int64
 }
 
 // NewFatTree builds a fat-tree over the shared link calibration. The node
@@ -35,19 +29,13 @@ type FatTreeNet struct {
 func NewFatTree(cfg Config) *FatTreeNet {
 	levels, size := Geometry(cfg.Nodes)
 	f := &FatTreeNet{
-		netBase: netBase{cfg: cfg},
+		netBase: netBase{cfg: cfg, links: newLinks(2 * levels * size)},
 		levels:  levels,
 		size:    size,
-		up:      make([][]calendar.Calendar, levels),
-		down:    make([][]calendar.Calendar, levels),
 		hopNs:   cfg.HopLatency / 2,
 	}
 	if f.hopNs < 1 {
 		f.hopNs = 1
-	}
-	for l := 0; l < levels; l++ {
-		f.up[l] = make([]calendar.Calendar, size)
-		f.down[l] = make([]calendar.Calendar, size)
 	}
 	f.pow[0] = 1
 	for i := 1; i <= maxStages; i++ {
@@ -139,32 +127,12 @@ func (f *FatTreeNet) pathAppend(src, dst int, buf [][2]int) [][2]int {
 	return buf
 }
 
-// cal resolves a (stage, link) pair to its calendar.
-func (f *FatTreeNet) cal(stage, link int) *calendar.Calendar {
-	if stage < f.levels {
-		return &f.up[stage][link]
-	}
-	return &f.down[stage-f.levels][link]
-}
-
+// reserveHop books one hop. Link id stage*size + w is the reservation
+// calendar of one of the parallel links between level l and level l+1
+// (stage l going up, stage levels+l coming down), indexed by wire position
+// w: the link's subtree base plus the digit-selected parallel offset.
 func (f *FatTreeNet) reserveHop(stage, link int, t, svc int64) int64 {
-	start := f.cal(stage, link).Reserve(t, svc)
-	f.stats.ContentionNs += start - t
-	if pr := f.probe; pr != nil {
-		pr.SwitchHop(start, svc, start-t, stage, link)
-	}
-	f.stats.TotalHops++
-	return start
+	return f.reserve(stage*f.size+link, stage, link, t, svc)
 }
 
 func (f *FatTreeNet) hopLatencyNs(int) int64 { return f.hopNs }
-
-// Prune discards link reservations that ended before now.
-func (f *FatTreeNet) Prune(now int64) {
-	for l := range f.up {
-		for w := range f.up[l] {
-			f.up[l][w].PruneBefore(now)
-			f.down[l][w].PruneBefore(now)
-		}
-	}
-}

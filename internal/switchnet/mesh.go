@@ -1,7 +1,5 @@
 package switchnet
 
-import "butterfly/internal/calendar"
-
 // MeshNet is a 2D mesh: nodes occupy a near-square W x H grid (node id i at
 // column i mod W, row i / W) joined by directed links between neighbours.
 // Routing is dimension-order — the packet first walks the X dimension to the
@@ -15,10 +13,7 @@ import "butterfly/internal/calendar"
 // cliff the streamnuma experiment charts.
 type MeshNet struct {
 	netBase
-	w, h int
-	// links[d*w*h + cell] is the directed link leaving cell (y*w + x) in
-	// direction d.
-	links []calendar.Calendar
+	w, h  int
 	hopNs int64
 }
 
@@ -47,10 +42,9 @@ func NewMesh(cfg Config) *MeshNet {
 	}
 	h := (cfg.Nodes + w - 1) / w
 	m := &MeshNet{
-		netBase: netBase{cfg: cfg},
+		netBase: netBase{cfg: cfg, links: newLinks(4 * w * h)},
 		w:       w,
 		h:       h,
-		links:   make([]calendar.Calendar, 4*w*h),
 		hopNs:   cfg.HopLatency / 2,
 	}
 	if m.hopNs < 1 {
@@ -73,7 +67,8 @@ func (m *MeshNet) UncontendedNs(bytes int) int64 {
 	return int64(m.Stages())*m.hopNs + m.serviceNs(bytes)
 }
 
-// linkFrom is the directed link leaving cell in direction d.
+// linkFrom is the id of the directed link leaving cell (y*w + x) in
+// direction d.
 func (m *MeshNet) linkFrom(cell, d int) int { return d*m.w*m.h + cell }
 
 // pathAppend walks the dimension-order route, appending one
@@ -118,20 +113,10 @@ func (m *MeshNet) PathPorts(src, dst int) [][2]int {
 	return m.pathAppend(src, dst, nil)
 }
 
-// cal resolves a (stage, link) pair to its calendar; the mesh's stage is
-// the hop index, so only the link id matters.
-func (m *MeshNet) cal(_, link int) *calendar.Calendar {
-	return &m.links[link]
-}
-
+// reserveHop books one hop; the mesh's stage is always 0, so the link id
+// alone names the calendar.
 func (m *MeshNet) reserveHop(stage, link int, t, svc int64) int64 {
-	start := m.links[link].Reserve(t, svc)
-	m.stats.ContentionNs += start - t
-	if pr := m.probe; pr != nil {
-		pr.SwitchHop(start, svc, start-t, stage, link)
-	}
-	m.stats.TotalHops++
-	return start
+	return m.reserve(link, stage, link, t, svc)
 }
 
 func (m *MeshNet) hopLatencyNs(int) int64 { return m.hopNs }
@@ -157,11 +142,4 @@ func (m *MeshNet) Transit(now int64, src, dst, bytes int) int64 {
 		t = start + m.hopNs
 	}
 	return t + svc
-}
-
-// Prune discards link reservations that ended before now.
-func (m *MeshNet) Prune(now int64) {
-	for i := range m.links {
-		m.links[i].PruneBefore(now)
-	}
 }

@@ -15,11 +15,7 @@
 // model reproduces that result (experiment E6).
 package switchnet
 
-import (
-	"fmt"
-
-	"butterfly/internal/calendar"
-)
+import "fmt"
 
 // Radix is the fan-in/fan-out of each switch element (4 on the Butterfly).
 const Radix = 4
@@ -105,14 +101,6 @@ type Network struct {
 	// pow[i] is Radix^i, precomputed so routing replaces one digit per
 	// stage in O(1) instead of re-deriving every digit.
 	pow [maxStages + 1]int
-	// ports[stage][port] is the reservation calendar of one switch output
-	// port. Ports are identified by the switch-element output they leave
-	// through; with radix-4 elements and N nodes there are Radix^stages
-	// ports per stage (one "wire" position per node address). Calendars
-	// allow the time-charging layers above to pre-book packets into the
-	// virtual future without falsely serializing later-issued,
-	// earlier-timed traffic.
-	ports [][]calendar.Calendar
 }
 
 // New builds a Butterfly network for the given configuration. The node
@@ -121,11 +109,7 @@ type Network struct {
 // documents the exact mapping and Ports exposes the result.
 func New(cfg Config) *Network {
 	stages, nports := Geometry(cfg.Nodes)
-	b := make([][]calendar.Calendar, stages)
-	for i := range b {
-		b[i] = make([]calendar.Calendar, nports)
-	}
-	n := &Network{netBase: netBase{cfg: cfg}, stages: stages, nports: nports, ports: b}
+	n := &Network{netBase: netBase{cfg: cfg, links: newLinks(stages * nports)}, stages: stages, nports: nports}
 	n.pow[0] = 1
 	for i := 1; i <= maxStages; i++ {
 		n.pow[i] = n.pow[i-1] * Radix
@@ -207,9 +191,11 @@ func (n *Network) Transit(now int64, src, dst, bytes int) int64 {
 	svc := n.serviceNs(bytes)
 	var path [maxStages]int
 	n.route(src, dst, &path)
+	// The hop accounting of reserveHop, inlined: this loop is the
+	// simulator's hottest network path.
 	for s := 0; s < n.stages; s++ {
 		port := path[s]
-		start := n.ports[s][port].Reserve(t, svc)
+		start := n.links.at(s*n.nports+port).Reserve(t, svc)
 		n.stats.ContentionNs += start - t
 		if pr := n.probe; pr != nil {
 			pr.SwitchHop(start, svc, start-t, s, port)
@@ -221,17 +207,6 @@ func (n *Network) Transit(now int64, src, dst, bytes int) int64 {
 	}
 	// Delivery completes when the tail clears the last stage.
 	return t + svc
-}
-
-// Prune discards port reservations that ended before now; callers invoke it
-// periodically (no future packet can be issued earlier than the engine's
-// current time).
-func (n *Network) Prune(now int64) {
-	for s := range n.ports {
-		for p := range n.ports[s] {
-			n.ports[s][p].PruneBefore(now)
-		}
-	}
 }
 
 // PathPorts reports the (stage, port) pairs a src->dst packet occupies; it is
@@ -254,15 +229,15 @@ func (n *Network) pathAppend(src, dst int, buf [][2]int) [][2]int {
 	return buf
 }
 
-// reserveHop books one packet onto a stage port with full Transit accounting.
+// reserveHop books one packet onto a stage port with full Transit
+// accounting. Link id stage*nports + port is the reservation calendar of one
+// switch output port. Ports are identified by the switch-element output they
+// leave through; with radix-4 elements and N nodes there are Radix^stages
+// ports per stage (one "wire" position per node address). Calendars allow
+// the time-charging layers above to pre-book packets into the virtual future
+// without falsely serializing later-issued, earlier-timed traffic.
 func (n *Network) reserveHop(stage, port int, t, svc int64) int64 {
-	start := n.ports[stage][port].Reserve(t, svc)
-	n.stats.ContentionNs += start - t
-	if pr := n.probe; pr != nil {
-		pr.SwitchHop(start, svc, start-t, stage, port)
-	}
-	n.stats.TotalHops++
-	return start
+	return n.reserve(stage*n.nports+port, stage, port, t, svc)
 }
 
 // hopLatencyNs is the per-stage propagation delay.

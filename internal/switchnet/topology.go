@@ -136,6 +136,9 @@ func Build(t Topology, cfg Config) Interconnect {
 type netBase struct {
 	cfg   Config
 	stats Stats
+	// links holds every link calendar; each topology maps its (stage,
+	// link) pairs to flat ids.
+	links links
 	// probe, when non-nil, observes every link traversal (occupancy and
 	// queueing per stage/link). Purely observational.
 	probe *probe.Probe
@@ -168,6 +171,24 @@ func (b *netBase) NoteDrops(drops int) {
 }
 
 func (b *netBase) notePacket() { b.stats.Packets++ }
+
+// reserve books one packet of service time svc onto link id no earlier than
+// t and returns the reservation start, accounting contention, the hop, and
+// the probe's (stage, link) view exactly as a Transit through that hop.
+func (b *netBase) reserve(id, stage, link int, t, svc int64) int64 {
+	start := b.links.at(id).Reserve(t, svc)
+	b.stats.ContentionNs += start - t
+	if pr := b.probe; pr != nil {
+		pr.SwitchHop(start, svc, start-t, stage, link)
+	}
+	b.stats.TotalHops++
+	return start
+}
+
+// Prune discards link reservations that ended before now; callers invoke it
+// periodically (no future packet can be issued earlier than the engine's
+// current time).
+func (b *netBase) Prune(now int64) { b.links.prune(now) }
 
 // serviceNs returns how long a packet of the given size occupies one link.
 func (b *netBase) serviceNs(bytes int) int64 {

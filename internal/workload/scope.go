@@ -59,7 +59,10 @@ func Current() string {
 // goid parses the runtime's goroutine id from a one-goroutine stack dump
 // header ("goroutine 123 [running]:") — the same idiom machine.ScopeHooks
 // uses (its goid is unexported, and a ~12-line parser is cheaper than
-// widening that package's API).
+// widening that package's API). runtime.Stack walks the whole stack, so a
+// call measured 5.7 µs on a shallow stack and 35–46 µs at a depth of 30
+// frames (2-CPU Xeon); it is paid once per Scope and per Current while a
+// scope is registered.
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
