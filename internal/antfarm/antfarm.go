@@ -85,6 +85,9 @@ type Farm struct {
 	// goroutine; the scheduler re-raises it on the farm's root goroutine,
 	// where the engine's recovery handler runs.
 	fatal any
+	// dead is set once the farm's process has ended; a thread resumed
+	// after that unwinds instead of running (see release).
+	dead bool
 	// pendingWake records that a wakeup post is owed because the farm may
 	// be blocked in its scheduler.
 	idle bool
@@ -131,11 +134,13 @@ func Run(self *chrysalis.Process, cfg Config, main func(t *Thread)) *Farm {
 	farms[self] = f
 	farmsMu.Unlock()
 	// Deregister on the way out even when a kill or fault unwinds the
-	// scheduler (a farm on a failed node must not leak its table entry).
+	// scheduler (a farm on a failed node must not leak its table entry or
+	// its threads).
 	defer func() {
 		farmsMu.Lock()
 		delete(farms, self)
 		farmsMu.Unlock()
+		f.release()
 	}()
 	f.Spawn("main", main)
 	f.scheduleLoop()
@@ -144,7 +149,7 @@ func Run(self *chrysalis.Process, cfg Config, main func(t *Thread)) *Farm {
 
 // farms maps Chrysalis processes to their farms. One simulation is
 // single-threaded, but the experiment lab runs independent simulations
-// concurrently on separate OS threads, and this is the one package-level
+// concurrently on separate goroutines, and this is the one package-level
 // mutable table they share — hence the mutex. Keys never collide across
 // simulations (each machine has its own processes), so the lock protects
 // only the map structure, never logical state.
@@ -178,9 +183,17 @@ func (f *Farm) Spawn(name string, body func(t *Thread)) *Thread {
 	f.stats.Spawned++
 	go func() {
 		<-t.resume
+		if f.dead { // released before it ever ran
+			f.yield <- struct{}{}
+			return
+		}
 		defer func() {
 			r := recover()
 			if r == nil {
+				return
+			}
+			if r == errReleased {
+				f.yield <- struct{}{}
 				return
 			}
 			// While a thread runs it *is* the farm's process, so a node kill
@@ -189,6 +202,7 @@ func (f *Farm) Spawn(name string, body func(t *Thread)) *Thread {
 			// the value to the scheduler, which dies with it in the right
 			// place; anything else is a real bug and propagates.
 			if term, ok := r.(sim.Terminator); sim.IsExitPanic(r) || (ok && term.TerminatesProcess()) {
+				t.state = threadDone
 				f.fatal = r
 				f.yield <- struct{}{}
 				return
@@ -276,7 +290,28 @@ func (f *Farm) Live() int { return f.live }
 func (t *Thread) park() {
 	t.Farm.yield <- struct{}{}
 	<-t.resume
+	if t.Farm.dead {
+		panic(errReleased)
+	}
 	t.state = threadRunning
+}
+
+// errReleased is the panic that unwinds a parked thread once its farm has
+// died.
+var errReleased = new(int)
+
+// release unwinds, one at a time, every thread goroutine still parked when
+// the farm's process ends — killed, interrupted, or torn down after a
+// deadlock — so no thread outlives its farm. After a normal return every
+// thread is done and there is nothing to release.
+func (f *Farm) release() {
+	f.dead = true
+	for _, t := range f.threads {
+		if t.state != threadDone {
+			t.resume <- struct{}{}
+			<-f.yield
+		}
+	}
 }
 
 // mustBeCurrent panics unless t is the farm's running thread.

@@ -2,7 +2,9 @@ package antfarm
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"butterfly/internal/chrysalis"
 	"butterfly/internal/machine"
@@ -318,11 +320,21 @@ func TestFarmOf(t *testing.T) {
 	}
 }
 
+// TestDeadlockedFarmReported: a deadlocked farm is reported, and its parked
+// threads are unwound with it, deferred cleanup included — none outlives
+// the run.
 func TestDeadlockedFarmReported(t *testing.T) {
+	before := runtime.NumGoroutine()
 	os := newOS(t, 2)
+	unwound := 0
 	os.MakeProcess(nil, "farm", 0, 16, func(self *chrysalis.Process) {
 		Run(self, DefaultConfig(), func(main *Thread) {
-			main.BlockThread("never woken")
+			defer func() { unwound++ }()
+			worker := main.Farm.Spawn("worker", func(w *Thread) {
+				defer func() { unwound++ }()
+				w.BlockThread("never woken")
+			})
+			main.Join(worker)
 		})
 	})
 	err := os.M.E.Run()
@@ -331,6 +343,16 @@ func TestDeadlockedFarmReported(t *testing.T) {
 	}
 	if _, ok := err.(*sim.DeadlockError); !ok {
 		t.Fatalf("err = %T", err)
+	}
+	if unwound != 2 {
+		t.Errorf("%d of 2 parked threads were unwound", unwound)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after the run, %d before", n, before)
 	}
 }
 

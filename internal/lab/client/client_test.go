@@ -207,14 +207,12 @@ func TestClientRetriesConnectionErrors(t *testing.T) {
 // fetch per job and names how a job without a result ended — a failed job
 // with its error text, a job canceled mid-hold as canceled.
 func TestClientWaitResultTerminalStates(t *testing.T) {
-	sched := lab.NewScheduler(lab.Config{Workers: 2, Execute: func(spec core.Spec, _ string, canceled func() bool) (*core.Result, error) {
+	sched := lab.NewScheduler(lab.Config{Workers: 2, Execute: func(ctx context.Context, spec core.Spec, _ string) (*core.Result, error) {
 		if spec.Nodes == 16 {
 			return nil, errors.New("injected fault: node 3 on fire")
 		}
-		for !canceled() {
-			time.Sleep(time.Millisecond)
-		}
-		return nil, lab.ErrCanceled
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
 	}})
 	var mu sync.Mutex
 	var fetches []string

@@ -238,13 +238,14 @@ func (c *Coordinator) pickOwner(key string) (core.WorkerRecord, bool) {
 // content-addressed, and any worker that already holds it (its own cache
 // or a ring sibling's) serves it without simulating. Placement hashes
 // PlacementKey(spec), not the fingerprint, so a sweep's axis-neighbors pin
-// to one worker and its cache serves the sweep's next refinement.
-func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (*core.Result, error) {
+// to one worker and its cache serves the sweep's next refinement. When ctx
+// ends, Execute abandons the dispatch and returns ctx's cause.
+func (c *Coordinator) Execute(ctx context.Context, spec core.Spec, fp string) (*core.Result, error) {
 	key := PlacementKey(spec)
 	var lastWorker string
 	for {
-		if canceled() {
-			return nil, lab.ErrCanceled
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
 		if c.fenced.Load() {
 			return nil, ErrFenced
@@ -254,8 +255,9 @@ func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (
 			// No live workers. Hold the job rather than failing it — the
 			// fleet losing its last worker is exactly when an operator is
 			// mid-restart. Cancellation (or shutdown) is the way out.
-			if !sleepUnlessCanceled(200*time.Millisecond, canceled) {
-				return nil, lab.ErrCanceled
+			select {
+			case <-ctx.Done():
+			case <-time.After(200 * time.Millisecond):
 			}
 			continue
 		}
@@ -265,7 +267,7 @@ func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (
 				fp, lastWorker, w.ID, n)
 		}
 		lastWorker = w.ID
-		res, err := c.dispatch(w, spec, canceled)
+		res, err := c.dispatch(ctx, w, spec)
 		switch {
 		case err == nil:
 			return res, nil
@@ -285,20 +287,14 @@ func (c *Coordinator) Execute(spec core.Spec, fp string, canceled func() bool) (
 var errWorkerBusy = errors.New("fleet: worker busy")
 
 // dispatch submits the spec to one worker and waits on a held result fetch.
-// A watcher aborts the wait when the job is canceled or the directory stops
-// holding the worker alive, so a death mid-wait abandons the attempt
-// promptly instead of waiting out the hold or a network timeout.
-func (c *Coordinator) dispatch(w core.WorkerRecord, spec core.Spec, canceled func() bool) (*core.Result, error) {
-	ctx, abort := context.WithCancelCause(context.Background())
-	watched := make(chan struct{})
-	go func() {
-		defer close(watched)
-		c.watch(ctx, abort, w.ID, canceled)
-	}()
-	defer func() {
-		abort(nil)
-		<-watched
-	}()
+// The wait ends when the job's context does or the worker's life in the
+// directory does, so a death mid-wait abandons the attempt promptly instead
+// of waiting out the hold or a network timeout.
+func (c *Coordinator) dispatch(ctx context.Context, w core.WorkerRecord, spec core.Spec) (*core.Result, error) {
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	stop := context.AfterFunc(c.dir.Life(w.ID), func() { abort(errWorkerLost) })
+	defer stop()
 	cl := c.clientFor(w)
 	op := "submit"
 	st, err := cl.Submit(ctx, spec)
@@ -314,30 +310,11 @@ func (c *Coordinator) dispatch(w core.WorkerRecord, spec core.Spec, canceled fun
 		if errors.Is(cause, lab.ErrCanceled) && st != nil {
 			// Best-effort: stop the worker burning cycles on a job nobody
 			// will collect.
-			_ = cl.Cancel(context.Background(), st.ID)
+			_ = cl.Cancel(context.WithoutCancel(ctx), st.ID)
 		}
 		return nil, cause
 	}
 	return nil, c.classify(w, err, op)
-}
-
-// watch aborts a dispatch with lab.ErrCanceled or errWorkerLost, checking
-// once per cancelSlice, until the dispatch's context ends.
-func (c *Coordinator) watch(ctx context.Context, abort context.CancelCauseFunc, id string, canceled func() bool) {
-	t := time.NewTicker(cancelSlice)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if canceled() {
-			abort(lab.ErrCanceled)
-		} else if !c.dir.Alive(id) {
-			abort(errWorkerLost)
-		}
-	}
 }
 
 // classify sorts a client error into the fleet's three kinds: an HTTP
@@ -373,27 +350,6 @@ func (c *Coordinator) classify(w core.WorkerRecord, err error, op string) error 
 		c.workerDown(w, "connection-failed op="+op)
 	}
 	return fmt.Errorf("%w: %s %s: %v", errWorkerLost, w.ID, op, err)
-}
-
-// cancelSlice is how often a waiting Execute checks its job for
-// cancellation (and a dispatch its worker for death).
-const cancelSlice = 20 * time.Millisecond
-
-// sleepUnlessCanceled naps in cancelSlice steps so cancellation is honored
-// promptly. Reports false when canceled.
-func sleepUnlessCanceled(d time.Duration, canceled func() bool) bool {
-	for d > 0 {
-		if canceled != nil && canceled() {
-			return false
-		}
-		step := d
-		if step > cancelSlice {
-			step = cancelSlice
-		}
-		time.Sleep(step)
-		d -= step
-	}
-	return canceled == nil || !canceled()
 }
 
 // Fenced reports whether a worker has rejected this coordinator's epoch —

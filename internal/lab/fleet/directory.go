@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -26,6 +27,9 @@ type member struct {
 	rec      core.WorkerRecord
 	lastBeat time.Time
 	alive    bool
+	// life is canceled by die; every path that clears alive calls die.
+	life context.Context
+	die  context.CancelFunc
 	// draining marks a planned departure (explicit leave): the worker gets
 	// no new placements but stays alive for in-flight polling until its
 	// heartbeats stop — at which point it is downed quietly, with no
@@ -60,7 +64,7 @@ func (d *Directory) Upsert(rec core.WorkerRecord) (changed bool) {
 	changed = !ok || !m.alive || m.draining || m.rec.URL != rec.URL
 	m.rec = rec
 	m.lastBeat = d.now()
-	m.alive = true
+	m.revive()
 	// An explicit join is a deliberate (re)arrival: it cancels any pending
 	// drain. Heartbeats go through Beat, which preserves the drain.
 	m.draining = false
@@ -82,7 +86,7 @@ func (d *Directory) Beat(req core.HeartbeatRequest) (changed bool) {
 	changed = !ok || (!m.alive && !m.draining) || (!m.draining && m.rec.URL != req.Worker.URL)
 	m.rec = req.Worker
 	m.lastBeat = d.now()
-	m.alive = true
+	m.revive()
 	m.peerHits = req.PeerHits
 	m.simulated = req.Simulated
 	return changed
@@ -114,6 +118,7 @@ func (d *Directory) MarkDead(id string) (was bool) {
 		return false
 	}
 	m.alive = false
+	m.die()
 	return true
 }
 
@@ -127,6 +132,7 @@ func (d *Directory) Sweep() []core.WorkerRecord {
 	for _, m := range d.members {
 		if m.alive && now.Sub(m.lastBeat) > d.deadAfter {
 			m.alive = false
+			m.die()
 			if m.draining {
 				// A drained worker going silent is the plan succeeding, not
 				// a failure: finalize quietly, no reassignment.
@@ -139,12 +145,28 @@ func (d *Directory) Sweep() []core.WorkerRecord {
 	return dead
 }
 
-// Alive reports whether the worker is currently believed live.
-func (d *Directory) Alive(id string) bool {
+// revive marks the member alive, starting a new life unless it is already
+// living one. Callers hold d.mu.
+func (m *member) revive() {
+	if !m.alive {
+		m.life, m.die = context.WithCancel(context.Background())
+	}
+	m.alive = true
+}
+
+// Life returns a context that is canceled when the worker stops being
+// alive — swept, marked dead, or anything else that downs it. For a worker
+// not alive now it is already canceled. A worker that rejoins starts a new
+// life; the old context stays canceled.
+func (d *Directory) Life(id string) context.Context {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m, ok := d.members[id]
-	return ok && m.alive
+	if m, ok := d.members[id]; ok {
+		return m.life
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 // Placeable reports whether the worker may receive new placements: alive

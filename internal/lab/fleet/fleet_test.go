@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -269,7 +270,7 @@ func TestFleetGracefulLeaveDrainsWithoutReassignment(t *testing.T) {
 	// may still hold dispatched jobs) but must stop being placeable.
 	a.w.Leave()
 	waitFor(t, "ring to exclude the leaver", func() bool { return coord.Ring().Len() == 1 })
-	if !coord.Directory().Alive("wA") {
+	if coord.Directory().Life("wA").Err() != nil {
 		t.Fatal("draining worker went dead instead of draining")
 	}
 	if coord.Directory().Placeable("wA") {
@@ -319,8 +320,8 @@ func TestFleetGracefulLeaveDrainsWithoutReassignment(t *testing.T) {
 }
 
 // TestFleetHoldsJobsWithNoWorkers: with every worker gone the coordinator
-// parks jobs rather than failing them, and releases them the moment a
-// worker appears.
+// parks jobs rather than failing them, releases them the moment a worker
+// appears, and lets a parked job be canceled.
 func TestFleetHoldsJobsWithNoWorkers(t *testing.T) {
 	coord, sched, coordURL := startCoordinator(t, 5*time.Second)
 
@@ -328,10 +329,18 @@ func TestFleetHoldsJobsWithNoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	doomed, err := sched.Submit(core.Spec{Experiment: "numa", Quick: true, Nodes: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-job.Done():
 		t.Fatal("job finished with no workers on the ring")
 	case <-time.After(300 * time.Millisecond):
+	}
+	doomed.Cancel()
+	if _, err := doomed.Wait(); !errors.Is(err, lab.ErrCanceled) || doomed.State() != lab.StateCanceled {
+		t.Errorf("job canceled with no workers: state %s, err %v; want canceled, ErrCanceled", doomed.State(), err)
 	}
 
 	startNode(t, "wA", coordURL, filepath.Join(t.TempDir(), "a"))
@@ -458,7 +467,7 @@ func TestFleetRevivedWorkerKeepsPlacements(t *testing.T) {
 	if n := coord.Reassigned(); n != 1 {
 		t.Fatalf("reassigned = %d after a job met the dead worker, want 1", n)
 	}
-	if coord.Directory().Alive("wA") {
+	if coord.Directory().Life("wA").Err() == nil {
 		t.Fatal("dead worker still alive in the directory")
 	}
 	downs := logs.count("worker-down id=wA")

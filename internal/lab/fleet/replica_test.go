@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -310,7 +311,7 @@ func TestFencedCoordinatorStepsDown(t *testing.T) {
 	c.dir.Upsert(core.WorkerRecord{ID: "w1", URL: worker.URL})
 	c.refreshRing()
 
-	_, err := c.Execute(core.Spec{Experiment: "numa", Quick: true}, "fp-x", func() bool { return false })
+	_, err := c.Execute(context.Background(), core.Spec{Experiment: "numa", Quick: true}, "fp-x")
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("Execute error = %v, want ErrFenced", err)
 	}
@@ -318,7 +319,7 @@ func TestFencedCoordinatorStepsDown(t *testing.T) {
 		t.Fatal("coordinator did not step down after a 412")
 	}
 	// Every later Execute fast-fails — no more split-brain dispatches.
-	if _, err := c.Execute(core.Spec{Experiment: "numa", Quick: true}, "fp-y", func() bool { return false }); err == nil {
+	if _, err := c.Execute(context.Background(), core.Spec{Experiment: "numa", Quick: true}, "fp-y"); err == nil {
 		t.Fatal("fenced coordinator dispatched again")
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -259,8 +260,9 @@ func (w *Worker) acceptView(answered string, view core.FleetView) {
 // arc in a reassignment) fills its cache instead of burning CPU. Probing
 // walks the ring from the spec's placement key, the same walk the
 // coordinator places by, so the first sibling asked is the worker most
-// likely to have owned this job (or its axis-neighbors) before.
-func (w *Worker) PeerFill(spec core.Spec, fp string) (*core.Result, bool) {
+// likely to have owned this job (or its axis-neighbors) before. A probe
+// in flight when ctx ends is abandoned as a miss.
+func (w *Worker) PeerFill(ctx context.Context, spec core.Spec, fp string) (*core.Result, bool) {
 	ring := w.peers.Load()
 	probes := 0
 	for _, peer := range ring.Successors(PlacementKey(spec), ring.Len()) {
@@ -270,7 +272,7 @@ func (w *Worker) PeerFill(spec core.Spec, fp string) (*core.Result, bool) {
 		if probes++; probes > w.cfg.ProbeSiblings {
 			break
 		}
-		res, ok := w.probe(peer, fp)
+		res, ok := w.probe(ctx, peer, fp)
 		if ok {
 			w.peerHits.Add(1)
 			w.cfg.Logf("fleet: peer-fill fp=%.12s from=%s", fp, peer.ID)
@@ -282,8 +284,12 @@ func (w *Worker) PeerFill(spec core.Spec, fp string) (*core.Result, bool) {
 }
 
 // probe fetches one fingerprint from one sibling's cache endpoint.
-func (w *Worker) probe(peer core.WorkerRecord, fp string) (*core.Result, bool) {
-	resp, err := w.hc.Get(peer.URL + "/cache/" + fp)
+func (w *Worker) probe(ctx context.Context, peer core.WorkerRecord, fp string) (*core.Result, bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer.URL+"/cache/"+fp, nil)
+	if err != nil {
+		return nil, false
+	}
+	resp, err := w.hc.Do(req)
 	if err != nil {
 		return nil, false
 	}

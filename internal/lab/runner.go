@@ -2,10 +2,10 @@ package lab
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"butterfly/internal/core"
@@ -30,61 +30,26 @@ var (
 	ErrCanceled = errors.New("lab: job canceled")
 )
 
-// execState is the bridge between a running job and the outside world: the
-// engines the job's experiment has booted so far, and whether an interrupt
-// (timeout or cancellation) has been requested. The watchdog goroutine and
-// the worker touch it under the mutex; engines registered after an
-// interrupt are interrupted immediately so a timed-out job cannot keep
-// booting fresh machines.
-type execState struct {
-	mu          sync.Mutex
-	engines     []*sim.Engine
-	interrupted bool
-}
-
-// add registers an engine the job just booted. Engines run by the lab
-// trap process panics (a hostile or out-of-range spec fails the job, not
-// the daemon) — see sim.Engine.TrapPanics.
-func (x *execState) add(e *sim.Engine) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	e.TrapPanics()
-	x.engines = append(x.engines, e)
-	if x.interrupted {
-		e.Interrupt()
-	}
-}
-
-// interrupt stops every engine the job has booted and all it will boot.
-func (x *execState) interrupt() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.interrupted = true
-	for _, e := range x.engines {
-		e.Interrupt()
-	}
-}
-
-// wasInterrupted reports whether interrupt was requested.
-func (x *execState) wasInterrupted() bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.interrupted
-}
-
 // executeOnce runs one attempt of the spec on the calling goroutine. It is
 // the one place a spec becomes a configured run: machine-config transform,
 // fault injector, probe, and workload scope. The worker must be the only
 // user of machine.ScopeHooks on this goroutine. Tables go to a private
 // buffer and probe reports to the result, so concurrent jobs never
 // interleave output. Every observer sees every machine after the lab's own
-// hooks have armed it.
-func executeOnce(exp core.Experiment, spec core.Spec, st *execState, observe []func(*machine.Machine)) (res *core.Result, err error) {
+// hooks have armed it. The attempt stops when ctx ends or the spec's
+// timeout expires: every engine it has booted, and every one it boots
+// after that, is interrupted, and the error is the context's cause.
+func executeOnce(ctx context.Context, exp core.Experiment, spec core.Spec, observe []func(*machine.Machine)) (res *core.Result, err error) {
 	faultCfg, err := spec.FaultConfig()
 	if err != nil {
 		return nil, err
 	}
 	inject := faultCfg.Enabled() && !exp.ManagesFaults
+	if spec.TimeoutMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond, ErrTimeout)
+		defer cancel()
+	}
 
 	type probedMachine struct {
 		m  *machine.Machine
@@ -92,12 +57,21 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState, observe []f
 	}
 	var engines []*sim.Engine
 	var probed []probedMachine
+	var stops []func() bool
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
 	// The workload directive rides a goroutine scope, like the machine
 	// hooks: two lab workers can run different workloads concurrently.
 	wlRelease := workload.Scope(spec.Workload)
 	defer wlRelease()
 	release := machine.ScopeHooks(spec.ConfigTransform(), func(m *machine.Machine) {
-		st.add(m.E)
+		// Engines run by the lab trap process panics: a hostile or
+		// out-of-range spec fails the job, not the daemon.
+		m.E.TrapPanics()
+		stops = append(stops, context.AfterFunc(ctx, m.E.Interrupt))
 		engines = append(engines, m.E)
 		if inject {
 			m.AttachFaults(fault.NewInjector(*faultCfg))
@@ -126,10 +100,9 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState, observe []f
 	runErr := exp.Run(&table, spec.Quick)
 	wall := time.Since(start)
 
-	var ie *sim.InterruptError
-	if errors.As(runErr, &ie) || (runErr != nil && st.wasInterrupted()) {
+	if runErr != nil && ctx.Err() != nil {
 		// The run was torn down from outside; the partial table is garbage.
-		return nil, ErrTimeout
+		return nil, context.Cause(ctx)
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -158,43 +131,27 @@ func executeOnce(exp core.Experiment, spec core.Spec, st *execState, observe []f
 }
 
 // runSpec executes a validated spec with its retry/timeout policy and
-// returns the finished result (Attempts set) or the final error. canceled,
-// when non-nil, is consulted between attempts and wired to the watchdog so
-// an external cancel interrupts a running simulation. The observers see
-// every machine of every attempt (see executeOnce).
-func runSpec(spec core.Spec, canceled func() bool, bindExec func(*execState), observe []func(*machine.Machine)) (*core.Result, error) {
+// returns the finished result (Attempts set) or the final error. When ctx
+// ends, the running attempt is interrupted and runSpec returns ctx's cause.
+// The observers see every machine of every attempt (see executeOnce).
+func runSpec(ctx context.Context, spec core.Spec, observe []func(*machine.Machine)) (*core.Result, error) {
 	exp, ok := core.Lookup(spec.Experiment)
 	if !ok {
 		return nil, fmt.Errorf("lab: unknown experiment %q", spec.Experiment)
 	}
 	for attempt := 1; ; attempt++ {
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
-		st := &execState{}
-		if bindExec != nil {
-			bindExec(st)
-		}
-		var watchdog *time.Timer
-		if spec.TimeoutMs > 0 {
-			watchdog = time.AfterFunc(time.Duration(spec.TimeoutMs)*time.Millisecond, st.interrupt)
-		}
-		res, err := executeOnce(exp, spec, st, observe)
-		if watchdog != nil {
-			watchdog.Stop()
-		}
-		if bindExec != nil {
-			bindExec(nil)
-		}
+		res, err := executeOnce(ctx, exp, spec, observe)
 		if err == nil {
 			res.Attempts = attempt
 			return res, nil
 		}
-		if canceled != nil && canceled() {
-			return nil, ErrCanceled
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
-		retryable := errors.Is(err, ErrTimeout)
-		if !retryable || attempt > spec.Retries {
+		if !errors.Is(err, ErrTimeout) || attempt > spec.Retries {
 			return nil, fmt.Errorf("attempt %d: %w", attempt, err)
 		}
 	}
@@ -211,7 +168,7 @@ func RunSpec(spec core.Spec, observe ...func(*machine.Machine)) (*core.Result, e
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := runSpec(spec, nil, nil, observe)
+	res, err := runSpec(context.Background(), spec, observe)
 	if err != nil {
 		return nil, err
 	}

@@ -48,12 +48,14 @@ type Job struct {
 	sched *Scheduler
 	done  chan struct{}
 
-	mu        sync.Mutex
-	state     State
-	res       *core.Result
-	err       error
-	exec      *execState
-	cancelled bool
+	mu    sync.Mutex
+	state State
+	res   *core.Result
+	err   error
+	// cancel ends the context a running job executes under; runJob sets it
+	// in the same critical section that makes the job running, so a Cancel
+	// either finds the job queued or finds cancel set.
+	cancel context.CancelCauseFunc
 	// counted marks a job the scheduler's queued-by-seq count includes:
 	// set when it is enqueued, cleared when it leaves StateQueued. A cache
 	// hit or a job restored as terminal is queued only in passing and is
@@ -113,42 +115,18 @@ func (j *Job) reload(trimmed *core.Result) (*core.Result, error) {
 }
 
 // Cancel requests the job stop: a queued job finishes immediately as
-// canceled; a running job has its simulation engines interrupted. Canceling
-// a finished job is a no-op.
+// canceled; a running job's context ends with ErrCanceled, which interrupts
+// its simulation engines or its remote dispatch. Canceling a finished job
+// is a no-op.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	j.cancelled = true
+	defer j.mu.Unlock()
 	switch j.state {
 	case StateQueued:
 		j.dequeueLocked()
 		j.finishLocked(StateCanceled, nil, ErrCanceled)
-		j.mu.Unlock()
 	case StateRunning:
-		exec := j.exec
-		j.mu.Unlock()
-		if exec != nil {
-			exec.interrupt()
-		}
-	default:
-		j.mu.Unlock()
-	}
-}
-
-// isCanceled reports whether Cancel has been requested.
-func (j *Job) isCanceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelled
-}
-
-// bindExec publishes (or, with nil, retracts) the attempt's execution state
-// so Cancel can reach the running engines.
-func (j *Job) bindExec(x *execState) {
-	j.mu.Lock()
-	j.exec = x
-	j.mu.Unlock()
-	if x != nil && j.isCanceled() {
-		x.interrupt()
+		j.cancel(ErrCanceled)
 	}
 }
 
@@ -197,8 +175,8 @@ func (j *Job) finishLocked(st State, res *core.Result, err error) {
 // Config parameterizes a Scheduler.
 type Config struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
-	// Each worker locks an OS thread and owns the engines of the job it is
-	// running — workers share no mutable simulation state.
+	// Each worker goroutine owns the engines of the job it is running —
+	// workers share no mutable simulation state.
 	Workers int
 	// QueueDepth bounds the work queue; <= 0 means 256.
 	QueueDepth int
@@ -212,21 +190,21 @@ type Config struct {
 	// requeuing everything the previous process left mid-flight.
 	Journal *Journal
 	// Execute, when non-nil, replaces local simulation: workers call it
-	// instead of booting engines on their own OS threads. A fleet
-	// coordinator uses this to dispatch the job to a ring worker — the
-	// scheduler keeps owning the queue, the journal, the cache, and the
-	// job lifecycle, so recovery and admission behave identically in both
-	// modes. canceled is polled by the executor; a true return must
-	// surface as ErrCanceled.
-	Execute func(spec core.Spec, fingerprint string, canceled func() bool) (*core.Result, error)
+	// instead of booting engines themselves. A fleet coordinator uses this
+	// to dispatch the job to a ring worker — the scheduler keeps owning the
+	// queue, the journal, the cache, and the job lifecycle, so recovery and
+	// admission behave identically in both modes. ctx is the job's; a
+	// cancel ends it with cause ErrCanceled, and the job then ends canceled
+	// unless Execute returns a result.
+	Execute func(ctx context.Context, spec core.Spec, fingerprint string) (*core.Result, error)
 	// PeerFill, when non-nil, is consulted after a job leaves the queue
 	// and before it executes: a fleet worker asks its ring siblings for a
 	// cached result here, so a rebalanced or freshly-joined worker never
 	// re-simulates work the fleet has already done. The spec travels along
 	// so the probe can walk the ring by placement key, the same walk the
 	// coordinator placed by. The returned result must carry the job's
-	// fingerprint.
-	PeerFill func(spec core.Spec, fingerprint string) (*core.Result, bool)
+	// fingerprint. A cancel of ctx, the job's, abandons the probe.
+	PeerFill func(ctx context.Context, spec core.Spec, fingerprint string) (*core.Result, bool)
 	// SpoolResults, when true (and a Cache is configured), releases each
 	// finished job's result payload from scheduler memory once the cache
 	// holds it durably; Wait and Result rematerialize it from the cache on
@@ -418,13 +396,12 @@ func (s *Scheduler) Cache() *Cache { return s.cache }
 // Workers returns the worker-pool size.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// worker runs jobs from the queue until it closes. Each worker locks its OS
-// thread: a job's simulation (engine, machines, goroutine-scoped machine
-// hooks) is owned by this one worker, so N workers run N fully independent
-// simulations with no shared mutable state.
+// worker runs jobs from the queue until it closes. A job's simulation
+// (engine, machines, goroutine-scoped machine hooks) is owned by this one
+// worker goroutine, so N workers run N fully independent simulations with
+// no shared mutable state.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	runtime.LockOSThread()
 	for j := range s.queue {
 		s.runJob(j)
 	}
@@ -439,6 +416,9 @@ func (s *Scheduler) runJob(j *Job) {
 	}
 	j.dequeueLocked()
 	j.state = StateRunning
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	j.cancel = cancel
 	j.started = time.Now()
 	if s.journal != nil {
 		// Best-effort: if the append fails the job still runs; a restart
@@ -451,15 +431,15 @@ func (s *Scheduler) runJob(j *Job) {
 	var res *core.Result
 	var err error
 	if s.cfg.PeerFill != nil {
-		if hit, ok := s.cfg.PeerFill(j.Spec, j.Fingerprint); ok && hit != nil && hit.Fingerprint == j.Fingerprint {
+		if hit, ok := s.cfg.PeerFill(ctx, j.Spec, j.Fingerprint); ok && hit != nil && hit.Fingerprint == j.Fingerprint {
 			res = hit
 		}
 	}
 	if res == nil {
 		if s.cfg.Execute != nil {
-			res, err = s.cfg.Execute(j.Spec, j.Fingerprint, j.isCanceled)
+			res, err = s.cfg.Execute(ctx, j.Spec, j.Fingerprint)
 		} else {
-			res, err = runSpec(j.Spec, j.isCanceled, j.bindExec, nil)
+			res, err = runSpec(ctx, j.Spec, nil)
 		}
 	}
 	s.busy.Add(-1)
@@ -490,7 +470,7 @@ func (s *Scheduler) runJob(j *Job) {
 			j.spooled = true
 		}
 		j.finishLocked(StateDone, res, nil)
-	case errors.Is(err, ErrCanceled) || j.cancelled:
+	case errors.Is(context.Cause(ctx), ErrCanceled):
 		j.finishLocked(StateCanceled, nil, ErrCanceled)
 	default:
 		j.finishLocked(StateFailed, nil, err)

@@ -237,13 +237,18 @@ func fetchAsync(url string) <-chan fetched {
 }
 
 // waitHeld waits until exactly n handler goroutines are parked in a held
-// result fetch.
+// result fetch. The buffer grows until the dump fits, so the count never
+// comes from a truncated one.
 func waitHeld(t *testing.T, n int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		stacks := buf[:runtime.Stack(buf, true)]
-		got := bytes.Count(stacks, []byte("lab.awaitEvent("))
+		size := runtime.Stack(buf, true)
+		for size == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			size = runtime.Stack(buf, true)
+		}
+		got := bytes.Count(buf[:size], []byte("lab.awaitEvent("))
 		if got == n {
 			return
 		}

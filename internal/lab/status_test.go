@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -176,7 +177,7 @@ func testQueuePositionReplay(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	s := NewScheduler(Config{Workers: 1, Journal: jr2,
-		Execute: func(core.Spec, string, func() bool) (*core.Result, error) {
+		Execute: func(context.Context, core.Spec, string) (*core.Result, error) {
 			select {
 			case started <- struct{}{}:
 			default:

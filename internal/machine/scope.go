@@ -7,7 +7,7 @@ import (
 )
 
 // The experiment lab runs independent simulations concurrently, one per
-// worker OS thread, and each worker needs to observe (and optionally
+// worker goroutine, and each worker needs to observe (and optionally
 // re-parameterize) exactly the machines its own job builds. New therefore
 // consults a goroutine-scoped hook table: a worker registers its hooks with
 // ScopeHooks, runs the job's experiment on the same goroutine, and releases

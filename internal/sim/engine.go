@@ -231,9 +231,9 @@ type Engine struct {
 	probe *probe.Probe
 
 	// interrupted is the only piece of engine state that may be touched
-	// from outside the simulation's goroutine chain: an external watchdog
-	// (job timeout, cancellation) sets it, and the dispatcher checks it at
-	// every dispatch point.
+	// from outside the simulation's goroutine chain: the end of a job's
+	// context (timeout or cancellation) sets it, and the dispatcher checks
+	// it at every dispatch point.
 	interrupted atomic.Bool
 
 	// trapPanics converts a real panic in a process body into a run error
@@ -582,13 +582,16 @@ func (s *sched) suspend() {
 
 // Run executes the simulation until no events remain. It returns nil on a
 // clean finish (all processes completed) and a *DeadlockError if processes
-// remain blocked with nothing runnable. Run must be called exactly once;
-// a second call panics.
+// remain blocked with nothing runnable. Either way no process goroutine
+// outlives Run (see release). Run must be called exactly once; a second
+// call panics.
 func (e *Engine) Run() error {
 	if e.started {
 		panic("sim: Engine.Run called more than once")
 	}
 	e.started = true
+	// Deferred, so the verdict below is taken before the unwind.
+	defer e.release()
 	if e.windowed {
 		e.runWindows()
 	} else {
@@ -626,6 +629,37 @@ func (e *Engine) Run() error {
 		return de
 	}
 	return nil
+}
+
+// release unwinds every process a finished run left alive — blocked in a
+// deadlock, abandoned by an interrupt, or still queued past an interrupted
+// window — through the Kill path, so no goroutine outlives Run and none
+// pins the machine its process belongs to. The unwind runs the processes'
+// deferred cleanup, which may charge time; it is invisible all the same:
+// clocks, counters, and the probe stream are left as the run ended them.
+func (e *Engine) release() {
+	pr := e.probe
+	e.probe = nil
+	for _, s := range e.scheds {
+		if s.live == 0 {
+			continue
+		}
+		now, stats := s.now, s.stats
+		s.windowEnd = math.MaxInt64
+		for _, p := range e.procs {
+			if p.sd == s && p.state != stateDone {
+				s.kill(p)
+			}
+		}
+		s.popNext().resume <- struct{}{}
+		if e.windowed {
+			<-e.drained
+		} else {
+			<-e.done
+		}
+		s.now, s.stats = now, stats
+	}
+	e.probe = pr
 }
 
 // park suspends the calling process and transfers control to the next
@@ -800,8 +834,9 @@ func (p *Proc) Exit() {
 // InterruptError is returned by Run when the simulation was stopped early via
 // Interrupt (a job timeout or cancellation, not anything the simulated
 // machine did). Live counts the processes that had not completed when the
-// event chain drained — blocked processes are abandoned, their goroutines
-// parked forever, so an interrupted engine must simply be dropped.
+// event chain drained; Run unwinds them before it returns, as it does the
+// blocked processes of a deadlock, so an interrupted engine holds no
+// goroutine and can simply be dropped.
 type InterruptError struct {
 	Now  int64
 	Live int
@@ -813,16 +848,13 @@ func (e *InterruptError) Error() string {
 }
 
 // Interrupt requests that the simulation stop at the next dispatch point.
-// It is the one engine entry point that is safe to call from any OS thread
-// at any time: an external watchdog uses it to bound a job's wall-clock
-// time or to cancel it. Every process subsequently dispatched dies
+// It is the one engine entry point that is safe to call from any goroutine
+// at any time: the lab calls it when a job's context ends, to bound the
+// job's wall-clock time or to cancel it. Every process subsequently dispatched dies
 // immediately (via the Kill unwind path) so the pending-event chain drains
 // quickly; Run then returns an *InterruptError. Interrupting an engine that
 // has already finished is a no-op.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
-
-// Interrupted reports whether Interrupt has been called.
-func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
 
 // TrapPanics switches the engine into trapped mode: a real panic in a
 // process body (not a Terminator, not Exit) aborts the run and surfaces
@@ -854,6 +886,12 @@ func (e *Engine) Kill(p *Proc) {
 		panic(fmt.Sprintf("sim: Kill of running proc %d %q (use Exit)", p.ID, p.Name))
 	}
 	s.flushRunning()
+	s.kill(p)
+}
+
+// kill marks p killed and schedules it now, so its goroutine unwinds at the
+// resumption point. p belongs to s and is neither done nor running.
+func (s *sched) kill(p *Proc) {
 	p.killed = true
 	p.exited = true
 	if p.state == stateBlocked {

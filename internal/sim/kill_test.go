@@ -1,6 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"butterfly/internal/probe"
+)
 
 func TestKillRunnableProc(t *testing.T) {
 	e := New()
@@ -200,5 +207,63 @@ func TestWaitTimeoutRemovesFromQueue(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestRunReleasesLeftoverProcs: Run unwinds the processes a deadlock or an
+// interrupt leaves alive, deferred cleanup included, so none outlives it;
+// the unwind moves neither the clock, the counters, the probe stream, nor
+// the verdict.
+func TestRunReleasesLeftoverProcs(t *testing.T) {
+	for _, interrupt := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		e := New()
+		var events probe.Counter
+		e.SetProbe(probe.New(&events))
+		cleaned := 0
+		for i := 0; i < 3; i++ {
+			e.Spawn("stuck", i, func(p *Proc) {
+				defer func() {
+					cleaned++
+					p.Advance(5) // cleanup that charges time
+				}()
+				p.Advance(10)
+				if interrupt {
+					e.Interrupt()
+				}
+				p.Block("forever")
+			})
+		}
+		err := e.Run()
+		var now int64
+		var live int
+		var de *DeadlockError
+		var ie *InterruptError
+		switch {
+		case !interrupt && errors.As(err, &de):
+			now, live = de.Now, len(de.Blocked)
+		case interrupt && errors.As(err, &ie):
+			now, live = ie.Now, ie.Live
+		default:
+			t.Fatalf("interrupt=%v: Run = %v", interrupt, err)
+		}
+		if live == 0 {
+			t.Fatalf("interrupt=%v: nothing was left alive to release", interrupt)
+		}
+		st := e.Stats()
+		if e.Now() != now || st.Completed != 3-live || events.ByKind[probe.KindProcDone] != uint64(st.Completed) {
+			t.Errorf("interrupt=%v: after Run now=%d completed=%d probed-done=%d; verdict now=%d with %d left alive",
+				interrupt, e.Now(), st.Completed, events.ByKind[probe.KindProcDone], now, live)
+		}
+		if cleaned != 3 {
+			t.Errorf("interrupt=%v: %d of 3 processes ran their deferred cleanup", interrupt, cleaned)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Errorf("interrupt=%v: %d goroutines after Run, %d before", interrupt, n, before)
+		}
 	}
 }
