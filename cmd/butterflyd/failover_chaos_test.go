@@ -219,7 +219,12 @@ func TestFailoverChaos(t *testing.T) {
 	if promoted.Epoch < 2 {
 		t.Errorf("promoted epoch = %d, want >= 2 (primary fenced 1)", promoted.Epoch)
 	}
+	// The promoted coordinator starts with an empty ring; the workers'
+	// heartbeats, failing over from the dead primary, fill it.
+	promotedAt := time.Now()
 	waitLiveWorkers(t, ctx, sbURL, 2)
+	t.Logf("ring refill: both workers live %v after the promotion was seen",
+		time.Since(promotedAt).Round(time.Millisecond))
 
 	// The sweep survived under its identity: same sweep ID, same
 	// grid-ordered job IDs, replicated — not recomputed — by the standby.

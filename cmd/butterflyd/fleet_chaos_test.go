@@ -59,6 +59,20 @@ func waitCompleted(t *testing.T, ctx context.Context, c *client.Client, n uint64
 	}
 }
 
+// waitLogLine polls a daemon's log file until it holds substr.
+func waitLogLine(t *testing.T, ctx context.Context, path, substr string) {
+	t.Helper()
+	for {
+		if b, err := os.ReadFile(path); err == nil && strings.Contains(string(b), substr) {
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("%s never logged %q", path, substr)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
 // TestFleetChaos is the fleet's version of TestCrashRecovery: a
 // registry-wide sweep runs across a coordinator and three workers; one
 // worker is SIGKILLed mid-sweep, then the coordinator itself is SIGKILLed
@@ -157,8 +171,14 @@ func TestFleetChaos(t *testing.T) {
 	workers[1].cmd.Wait()
 	workerKilled = true
 
-	// A little deeper in, SIGKILL the coordinator itself.
+	// A little deeper in, SIGKILL the coordinator itself — once it has
+	// logged the worker's death. Nothing else will: membership is not
+	// journaled, and the dead worker never heartbeats the restarted one.
 	waitCompleted(t, ctx, c, 6, "coordinator kill")
+	waitLogLine(t, ctx, coordLog, "fleet: worker-down")
+	if m, err := c.Metrics(ctx); err == nil {
+		t.Logf("killing the coordinator with %d of %d jobs completed", m.Completed, len(specs))
+	}
 	if err := coord.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +186,10 @@ func TestFleetChaos(t *testing.T) {
 	coordKilled = true
 
 	// Restart it on the same journal, cache, and address. The journal
-	// replays job state and fleet membership; the recovery probe finds the
-	// two surviving workers (and journals the dead one down); requeued jobs
-	// re-dispatch under their original IDs.
+	// replays job state; the ring starts empty and fills as the two
+	// surviving workers' heartbeats arrive (the dead one never does);
+	// requeued jobs wait for it, then re-dispatch under their original IDs.
+	restarted := time.Now()
 	coord2 := startDaemon(t, bin, coordAddr, coordJournal, coordCache, coordLog,
 		"-role", "coordinator", "-dead-after", "2s", "-workers", "8")
 	coord2Done := false
@@ -184,6 +205,10 @@ func TestFleetChaos(t *testing.T) {
 	if err := c2.WaitReady(ctx); err != nil {
 		t.Fatalf("restarted coordinator never ready: %v", err)
 	}
+	ready := time.Now()
+	waitLiveWorkers(t, ctx, coordURL, 2)
+	t.Logf("ring refill: restarted coordinator ready %v after launch, both survivors live %v after ready (heartbeat 250ms)",
+		ready.Sub(restarted).Round(time.Millisecond), time.Since(ready).Round(time.Millisecond))
 
 	// Every pre-crash job completes, byte-identical to the sequential
 	// driver, under the fingerprint it was submitted with.
@@ -209,13 +234,6 @@ func TestFleetChaos(t *testing.T) {
 	waitLiveWorkers(t, ctx, coordURL, 2)
 	if m, err := fleetStatus(t, coordURL); err != nil || m.LiveWorkers != 2 {
 		t.Errorf("fleet status after chaos = %+v (err %v), want 2 live workers", m, err)
-	}
-
-	// The worker death left its structured trail in the coordinator log.
-	if b, err := os.ReadFile(coordLog); err == nil {
-		if !strings.Contains(string(b), "fleet: worker-down") {
-			t.Error("coordinator log has no fleet: worker-down line despite a SIGKILLed worker")
-		}
 	}
 
 	// SIGTERM drains the restarted coordinator cleanly.

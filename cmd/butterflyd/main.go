@@ -55,10 +55,10 @@
 // that misses them for -dead-after has its in-flight jobs reassigned to
 // the next ring node (logged as `fleet: reassign ...`, idempotent because
 // results are content-addressed); workers probe ring siblings' caches
-// before simulating (peer fill); and the coordinator journals fleet
-// membership through its write-ahead journal, so a SIGKILLed coordinator
-// restarts, replays, re-probes the last-known workers, and resumes the
-// sweep under the original job IDs.
+// before simulating (peer fill); and a SIGKILLed coordinator restarts,
+// replays its write-ahead journal, and resumes the sweep under the original
+// job IDs. Membership is not journaled: the workers' next heartbeats refill
+// the restarted coordinator's ring, and it holds jobs until they do.
 //
 // # Coordinator failover
 //
@@ -68,13 +68,13 @@
 //	butterflyd -role coordinator -addr :7788
 //	butterflyd -role standby -addr :7789 -follow http://127.0.0.1:7788
 //
-// The standby pulls journal records (job lifecycle, fleet membership,
-// sweep identities) into its own journal on its own disk. When the primary
-// stops answering at the connection level for -dead-after, the standby
-// durably fences a new epoch, replays its replicated journal, re-probes
-// the last-known workers, and resumes the sweep under the original job
-// IDs — reassembled byte-identical to a single-node run. Workers learn the
-// standby's URL from heartbeat acks and fail over to it; their epoch gates
+// The standby pulls journal records (job lifecycle, sweep identities,
+// epochs) into its own journal on its own disk. When the primary stops
+// answering at the connection level for -dead-after, the standby durably
+// fences a new epoch, replays its replicated journal, and resumes the sweep
+// under the original job IDs — reassembled byte-identical to a single-node
+// run. Workers learn the standby's URL from heartbeat acks and fail over to
+// it, and their first heartbeats there fill its ring; their epoch gates
 // answer 412 to any dispatch from the deposed primary, which steps down
 // the moment it sees one. Replication lag, epoch, and takeover count are
 // on /metrics (and GET /replica/status on a standby that has not yet
@@ -248,19 +248,12 @@ func main() {
 		}
 		coord := fleet.NewCoordinator(fleet.CoordinatorConfig{
 			DeadAfter:  *deadAfter,
-			Journal:    journal,
 			Epoch:      epoch,
 			Takeovers:  takeovers,
 			SelfURL:    selfURL,
 			Replicator: rep,
 			Logf:       log.Printf,
 		})
-		if journal != nil {
-			if known := journal.Workers(); len(known) > 0 {
-				log.Printf("fleet: probing %d journaled workers", len(known))
-				coord.RecoverWorkers(known)
-			}
-		}
 		coord.Mount(srv)
 		ccfg.Execute = coord.Execute
 		if ccfg.Workers == 0 {
@@ -293,10 +286,9 @@ func main() {
 		}
 	}
 
-	// Fleet wiring happens between journal replay and scheduler creation:
-	// a restarting coordinator must rediscover live workers BEFORE the
-	// scheduler requeues mid-flight jobs, so those jobs re-dispatch
-	// immediately instead of spinning on an empty ring.
+	// A coordinator's ring starts empty: the jobs the scheduler requeues
+	// from the journal wait in Execute until the workers' heartbeats
+	// refill it, one or two heartbeat intervals after startup.
 	switch *role {
 	case "single":
 		attach(nil, cfg)
@@ -321,8 +313,8 @@ func main() {
 		// No scheduler yet: /readyz stays 503 until promotion. The follower
 		// replicates the primary's journal into ours; OnTakeover fences the
 		// epoch (already durable when it fires), replays the replicated
-		// journal, re-probes the fleet, and starts serving — the in-flight
-		// sweep resumes under its original job IDs.
+		// journal, and starts serving — the in-flight sweep resumes under
+		// its original job IDs once the workers' heartbeats reach us.
 		follower = fleet.NewFollower(fleet.FollowerConfig{
 			Self:      core.WorkerRecord{ID: idFromURL(selfURL), URL: selfURL},
 			Primary:   *followURL,

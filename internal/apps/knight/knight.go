@@ -192,7 +192,7 @@ func Run(cfg Config) (Result, error) {
 					idle++
 					if idle >= cfg.Procs {
 						// Nothing anywhere: no tour from this square.
-						wq.WakeAll(m.E, 0)
+						wq.WakeAll(self.P, 0)
 						return
 					}
 					self.P.Advance(200 * sim.Microsecond)

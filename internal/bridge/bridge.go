@@ -73,9 +73,9 @@ func (c *completion) wait(p *sim.Proc) {
 	}
 }
 
-func (c *completion) signal(e *sim.Engine) {
+func (c *completion) signal(p *sim.Proc) {
 	c.done = true
-	c.wq.WakeAll(e, 0)
+	c.wq.WakeAll(p, 0)
 }
 
 const poison = ^uint32(0)
@@ -107,7 +107,7 @@ func New(os *chrysalis.OS, diskNodes []int, cfg DiskConfig) (*Bridge, error) {
 				// Flush the request's trailing lazy charges so the waiter
 				// wakes at the request's true completion time.
 				self.P.Sync()
-				req.done.signal(os.M.E)
+				req.done.signal(self.P)
 			}
 		})
 		if err != nil {

@@ -77,8 +77,6 @@ type OS struct {
 	leaked   int // bytes owned by "the system", never reclaimed
 	template serialServer
 	perNode  []int // process count per node
-
-	procs []*Process
 }
 
 // serialServer models a serially accessed system resource (the process
@@ -152,7 +150,6 @@ func (os *OS) MakeProcess(creator *sim.Proc, name string, node, nSegs int, body 
 	})
 	proc.P.Ctx = proc
 	os.perNode[node]++
-	os.procs = append(os.procs, proc)
 	return proc, nil
 }
 
@@ -185,9 +182,6 @@ func (os *OS) DestroyProcess(caller *sim.Proc, pr *Process) {
 
 // ProcsOnNode reports how many live processes a node hosts.
 func (os *OS) ProcsOnNode(node int) int { return os.perNode[node] }
-
-// Processes returns every process created so far.
-func (os *OS) Processes() []*Process { return os.procs }
 
 // LeakedBytes reports storage owned by "the system" that will never be
 // reclaimed — the leak the paper complains about.

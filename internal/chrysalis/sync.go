@@ -50,7 +50,7 @@ func (e *Event) Post(p *sim.Proc, datum uint32) {
 	e.datum = datum
 	if e.wq.Len() > 0 {
 		e.posted = false
-		e.wq.WakeOne(e.os.M.E, 0)
+		e.wq.WakeOne(p, 0)
 		return
 	}
 	e.posted = true
@@ -141,7 +141,7 @@ func (q *DualQueue) Enqueue(p *sim.Proc, datum uint32) {
 	if pr := q.os.M.Probe(); pr != nil {
 		pr.QueueOp(p.LocalNow(), p.ID, q.obj.Node, true, fmt.Sprintf("dq%d", q.obj.ID))
 	}
-	if q.waiters.Len() > 0 && q.wakeFirstWith(datum) {
+	if q.waiters.Len() > 0 && q.wakeFirstWith(p, datum) {
 		// The datum was handed directly to a live waiter.
 		return
 	}
@@ -154,7 +154,7 @@ func (q *DualQueue) Enqueue(p *sim.Proc, datum uint32) {
 // caller should buffer it instead). order and waiters stay consistent:
 // both are FIFO with killed entries interleaved identically, so the skip
 // loops pop the same live process.
-func (q *DualQueue) wakeFirstWith(datum uint32) bool {
+func (q *DualQueue) wakeFirstWith(waker *sim.Proc, datum uint32) bool {
 	for len(q.order) > 0 {
 		p := q.order[0]
 		q.order = q.order[1:]
@@ -163,7 +163,7 @@ func (q *DualQueue) wakeFirstWith(datum uint32) bool {
 			continue
 		}
 		q.handoff[p] = datum
-		q.waiters.WakeOne(q.os.M.E, 0)
+		q.waiters.WakeOne(waker, 0)
 		return true
 	}
 	return false

@@ -6,10 +6,9 @@ package core
 // journal records — so the journal, the HTTP layer, and the fleet
 // runtime agree on one vocabulary without import cycles.
 
-// WorkerRecord identifies one fleet worker durably: the coordinator
-// journals membership changes (EventWorkerUp / EventWorkerDown) so a
-// restarted coordinator knows which workers to probe before any of them
-// happens to heartbeat again.
+// WorkerRecord identifies one fleet worker. Membership is not durable: a
+// coordinator learns its workers, and a restarted or promoted one re-learns
+// them, from their heartbeats alone.
 type WorkerRecord struct {
 	// ID is the worker's stable name on the ring; placement hashes it, so
 	// a worker that restarts under the same ID reclaims the same arcs.
@@ -19,17 +18,16 @@ type WorkerRecord struct {
 	URL string `json:"url"`
 }
 
-// JoinRequest is a worker announcing itself to the coordinator — sent on
-// startup and implicitly on every heartbeat, so a coordinator that lost
-// its memory (or never had it) re-learns the fleet from the traffic.
-type JoinRequest struct {
-	Worker WorkerRecord `json:"worker"`
-}
-
 // HeartbeatRequest is a worker's periodic liveness report, carrying the
-// counters the coordinator aggregates into fleet metrics.
+// counters the coordinator aggregates into fleet metrics. A heartbeat is
+// also the only way into the fleet: the coordinator admits any worker it
+// hears from, so one that lost its memory (or never had it) re-learns the
+// fleet from the traffic.
 type HeartbeatRequest struct {
 	Worker WorkerRecord `json:"worker"`
+	// Arrival marks the beats a worker process sends until its first ack:
+	// a (re)arrival, which cancels a drain its previous run announced.
+	Arrival bool `json:"arrival,omitempty"`
 	// PeerHits counts jobs this worker resolved from a ring sibling's
 	// cache instead of simulating.
 	PeerHits uint64 `json:"peer_hits"`
@@ -44,7 +42,7 @@ type LeaveRequest struct {
 	Worker WorkerRecord `json:"worker"`
 }
 
-// FleetView is the coordinator's answer to joins and heartbeats: the
+// FleetView is the coordinator's answer to heartbeats and leaves: the
 // current live membership, from which every worker derives the same ring
 // the coordinator places by.
 type FleetView struct {
@@ -83,13 +81,12 @@ type ReplicaPullResponse struct {
 // snapshot.json, and what a primary sends to bootstrap a follower that
 // joined (or fell) too far behind the record stream.
 type ReplicaState struct {
-	Schema  string         `json:"schema"`
-	Rec     int64          `json:"rec"`
-	Seq     int            `json:"seq"`
-	Epoch   uint64         `json:"epoch,omitempty"`
-	Jobs    []JobRecord    `json:"jobs"`
-	Workers []WorkerRecord `json:"workers,omitempty"`
-	Sweeps  []SweepRecord  `json:"sweeps,omitempty"`
+	Schema string        `json:"schema"`
+	Rec    int64         `json:"rec"`
+	Seq    int           `json:"seq"`
+	Epoch  uint64        `json:"epoch,omitempty"`
+	Jobs   []JobRecord   `json:"jobs"`
+	Sweeps []SweepRecord `json:"sweeps,omitempty"`
 }
 
 // FollowerHealth is one standby's row in the primary's replication metrics.

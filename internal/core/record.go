@@ -39,11 +39,10 @@ const (
 	EventInterrupted JournalEvent = "interrupted"
 )
 
-// Fleet membership events. A coordinator journals worker arrivals and
-// departures so a restart can probe the last-known fleet immediately
-// instead of waiting for each worker's next heartbeat. They carry a
-// WorkerRecord and no job; replay folds them into a membership table, not
-// the job table.
+// Legacy fleet membership events. Older coordinators journaled worker
+// arrivals and departures; membership now lives only in the coordinator's
+// heartbeat directory. Replay and replication still accept both kinds, as
+// no-ops that advance the record number, so an older journal opens.
 const (
 	EventWorkerUp   JournalEvent = "worker-up"
 	EventWorkerDown JournalEvent = "worker-down"
@@ -81,9 +80,6 @@ type JournalRecord struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Error carries the failure message on EventFailed.
 	Error string `json:"error,omitempty"`
-	// Worker travels only on fleet membership events (EventWorkerUp /
-	// EventWorkerDown), which carry no job.
-	Worker *WorkerRecord `json:"worker,omitempty"`
 	// Epoch travels only on EventEpoch: the coordinator generation this
 	// record fences in. Strictly increasing across takeovers.
 	Epoch uint64 `json:"epoch,omitempty"`

@@ -197,7 +197,7 @@ func ParseConfig(spec string) (*Config, error) {
 				break
 			}
 			node, e1 := strconv.Atoi(args[0])
-			at, e2 := parseDuration(args[1])
+			at, e2 := sim.ParseDuration(args[1])
 			if e1 != nil {
 				err = e1
 			} else if e2 != nil {
@@ -227,7 +227,7 @@ func ParseConfig(spec string) (*Config, error) {
 			})
 		case "backoff":
 			err = expectArgs(fields, 1, func() error {
-				v, e := parseDuration(fields[1])
+				v, e := sim.ParseDuration(fields[1])
 				cfg.BackoffNs = v
 				return e
 			})
@@ -258,30 +258,6 @@ func parseProb(s string) (float64, error) {
 		return 0, fmt.Errorf("probability %v out of [0,1]", v)
 	}
 	return v, nil
-}
-
-// parseDuration parses a virtual-time duration with an optional ns/us/ms/s
-// suffix; a bare number is nanoseconds.
-func parseDuration(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		s, mult = s[:len(s)-2], sim.Nanosecond
-	case strings.HasSuffix(s, "us"):
-		s, mult = s[:len(s)-2], sim.Microsecond
-	case strings.HasSuffix(s, "ms"):
-		s, mult = s[:len(s)-2], sim.Millisecond
-	case strings.HasSuffix(s, "s"):
-		s, mult = s[:len(s)-1], sim.Second
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("negative duration %q", s)
-	}
-	return int64(v * float64(mult)), nil
 }
 
 // Stats counts injected faults, for reports and tests.

@@ -31,9 +31,6 @@ type CoordinatorConfig struct {
 	// DeadAfter is how long a worker may go without a heartbeat before
 	// its jobs are reassigned (default 5s).
 	DeadAfter time.Duration
-	// Journal, when non-nil, receives worker-up/worker-down records so a
-	// restarted coordinator can probe the last-known fleet immediately.
-	Journal *lab.Journal
 	// Epoch is this coordinator's generation, stamped on every dispatch.
 	// The first coordinator on a journal fences epoch 1; a standby bumps
 	// the epoch durably before building its coordinator. Zero means the
@@ -55,10 +52,13 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Coordinator owns fleet membership and remote dispatch. It plugs into a
+// Coordinator owns fleet membership and remote dispatch. Membership is what
+// the workers' heartbeats say and nothing else: a restarted or promoted
+// coordinator starts with an empty ring, Execute holds jobs while it is
+// empty, and the next round of heartbeats refills it. It plugs into a
 // lab.Scheduler as its Execute hook: the scheduler keeps owning the
-// queue, journal, cache, admission, and job IDs — exactly the machinery
-// PR 5 made crash-safe — while the coordinator turns "run this spec" into
+// queue, journal, cache, admission, and job IDs — the machinery that
+// survives a crash — while the coordinator turns "run this spec" into
 // "place it on the ring, watch the worker, reassign on death".
 type Coordinator struct {
 	cfg    CoordinatorConfig
@@ -124,21 +124,15 @@ func (c *Coordinator) sweepLoop() {
 }
 
 // workerDown records a worker's death everywhere it matters: directory
-// (already done by the caller or Sweep), journal, log, ring.
+// (already done by the caller or Sweep), log, ring.
 func (c *Coordinator) workerDown(w core.WorkerRecord, reason string) {
-	if c.cfg.Journal != nil {
-		_ = c.cfg.Journal.WorkerDown(w)
-	}
 	c.cfg.Logf("fleet: worker-down id=%s url=%s reason=%s live=%d", w.ID, w.URL, reason, len(c.dir.Live()))
 	c.refreshRing()
 }
 
-// workerUp records a worker joining (or rejoining).
-func (c *Coordinator) workerUp(w core.WorkerRecord, how string) {
-	if c.cfg.Journal != nil {
-		_ = c.cfg.Journal.WorkerUp(w)
-	}
-	c.cfg.Logf("fleet: worker-up id=%s url=%s via=%s live=%d", w.ID, w.URL, how, len(c.dir.Live()))
+// workerUp records a worker joining (or rejoining) through its heartbeat.
+func (c *Coordinator) workerUp(w core.WorkerRecord) {
+	c.cfg.Logf("fleet: worker-up id=%s url=%s live=%d", w.ID, w.URL, len(c.dir.Live()))
 	c.refreshRing()
 }
 
@@ -183,35 +177,6 @@ func (c *Coordinator) clientFor(w core.WorkerRecord) *client.Client {
 	c.clients[w.ID] = cl
 	c.urls[w.ID] = w.URL
 	return cl
-}
-
-// RecoverWorkers probes the journal's last-known membership — called once
-// at startup, so a restarted coordinator rediscovers its fleet in one
-// round-trip instead of waiting out each worker's heartbeat interval.
-// Workers that fail the probe are journaled down; live ones rejoin the
-// ring immediately (and keep refreshing via their own heartbeats).
-func (c *Coordinator) RecoverWorkers(known []core.WorkerRecord) {
-	var wg sync.WaitGroup
-	for _, w := range known {
-		wg.Add(1)
-		go func(w core.WorkerRecord) {
-			defer wg.Done()
-			hc := &http.Client{Timeout: 2 * time.Second}
-			resp, err := hc.Get(w.URL + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-			}
-			if err == nil && resp.StatusCode == http.StatusOK {
-				if c.dir.Upsert(w) {
-					c.workerUp(w, "recovery-probe")
-				}
-				return
-			}
-			c.dir.MarkDead(w.ID)
-			c.workerDown(w, "recovery-probe-failed")
-		}(w)
-	}
-	wg.Wait()
 }
 
 // pickOwner walks the ring clockwise from the placement key and returns
@@ -388,7 +353,7 @@ func (c *Coordinator) Metrics() core.FleetMetrics {
 	return m
 }
 
-// view assembles the membership answer to joins and heartbeats, carrying
+// view assembles the membership answer to heartbeats and leaves, carrying
 // the epoch (so workers raise their fences without waiting for a dispatch)
 // and the coordinator failover list (self first, then pulling standbys).
 func (c *Coordinator) view() core.FleetView {
@@ -404,15 +369,13 @@ func (c *Coordinator) view() core.FleetView {
 
 // Mount wires the coordinator's HTTP surface onto a lab server:
 //
-//	POST /fleet/join       worker announces itself (body: core.JoinRequest)
-//	POST /fleet/heartbeat  liveness + counters (body: core.HeartbeatRequest)
+//	POST /fleet/heartbeat  liveness + counters; admits the worker (body: core.HeartbeatRequest)
 //	POST /fleet/leave      worker's planned departure (body: core.LeaveRequest)
 //	GET  /fleet            fleet status document (core.FleetMetrics)
 //	POST /replica/pull     standby journal replication (with a Replicator)
 //
 // and registers the fleet block of /metrics.
 func (c *Coordinator) Mount(srv *lab.Server) {
-	srv.Handle("POST /fleet/join", http.HandlerFunc(c.handleJoin))
 	srv.Handle("POST /fleet/heartbeat", http.HandlerFunc(c.handleHeartbeat))
 	srv.Handle("POST /fleet/leave", http.HandlerFunc(c.handleLeave))
 	srv.Handle("GET /fleet", http.HandlerFunc(c.handleStatus))
@@ -422,29 +385,15 @@ func (c *Coordinator) Mount(srv *lab.Server) {
 	srv.AugmentMetrics(func() any { return c.Metrics() })
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req core.JoinRequest
-	if !decodeFleetBody(w, r, &req) || !validWorker(w, req.Worker) {
-		return
-	}
-	if c.dir.Upsert(req.Worker) {
-		c.workerUp(req.Worker, "join")
-	}
-	writeFleetJSON(w, c.view())
-}
-
-// handleLeave is a worker's planned departure: journal it and drop it from
-// the placement set immediately, but keep it pollable for its in-flight
-// jobs — no reassignment churn, because nothing was abandoned.
+// handleLeave is a worker's planned departure: drop it from the placement
+// set immediately, but keep it pollable for its in-flight jobs — no
+// reassignment churn, because nothing was abandoned.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req core.LeaveRequest
 	if !decodeFleetBody(w, r, &req) || !validWorker(w, req.Worker) {
 		return
 	}
 	if c.dir.Depart(req.Worker.ID) {
-		if c.cfg.Journal != nil {
-			_ = c.cfg.Journal.WorkerDown(req.Worker)
-		}
 		c.cfg.Logf("fleet: worker-leave id=%s url=%s reason=drain live=%d",
 			req.Worker.ID, req.Worker.URL, len(c.dir.Live()))
 		c.refreshRing()
@@ -457,11 +406,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !decodeFleetBody(w, r, &req) || !validWorker(w, req.Worker) {
 		return
 	}
-	// A heartbeat from an unknown (or believed-dead) worker is an
-	// implicit join: this is how a restarted coordinator re-learns its
-	// fleet from traffic alone.
+	// A heartbeat from an unknown (or believed-dead) worker admits it:
+	// this is how every worker joins, and how a restarted coordinator
+	// re-learns its fleet.
 	if c.dir.Beat(req) {
-		c.workerUp(req.Worker, "heartbeat")
+		c.workerUp(req.Worker)
 	}
 	writeFleetJSON(w, c.view())
 }

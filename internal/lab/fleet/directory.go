@@ -9,12 +9,14 @@ import (
 	"butterfly/internal/core"
 )
 
-// Directory is the coordinator's membership table: which workers exist,
-// when each last heartbeat, and the counters they reported. Liveness is
-// purely heartbeat-driven — a worker that misses beats for DeadAfter is
-// dead until it beats again (a SIGKILLed worker and a partitioned one
-// look identical from here, and both are handled the same way: their
-// in-flight jobs move to the next ring node).
+// Directory is the coordinator's membership table and the fleet's only
+// record of it: which workers exist, when each last heartbeat, and the
+// counters they reported. It is not journaled — a restarted or promoted
+// coordinator starts empty and refills from the next round of heartbeats.
+// Liveness is purely heartbeat-driven — a worker that misses beats for
+// DeadAfter is dead until it beats again (a SIGKILLed worker and a
+// partitioned one look identical from here, and both are handled the same
+// way: their in-flight jobs move to the next ring node).
 type Directory struct {
 	deadAfter time.Duration
 	now       func() time.Time // injectable for tests
@@ -33,7 +35,7 @@ type member struct {
 	// draining marks a planned departure (explicit leave): the worker gets
 	// no new placements but stays alive for in-flight polling until its
 	// heartbeats stop — at which point it is downed quietly, with no
-	// reassignment churn.
+	// reassignment churn. Only an arrival beat clears it.
 	draining  bool
 	peerHits  uint64
 	simulated uint64
@@ -49,32 +51,12 @@ func NewDirectory(deadAfter time.Duration) *Directory {
 	return &Directory{deadAfter: deadAfter, now: time.Now, members: make(map[string]*member)}
 }
 
-// Upsert records a worker as alive right now — a join, or the implicit
-// join every heartbeat carries (how a restarted coordinator re-learns its
-// fleet from traffic). It reports whether the worker was previously
-// unknown or dead, i.e. whether membership just changed.
-func (d *Directory) Upsert(rec core.WorkerRecord) (changed bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	m, ok := d.members[rec.ID]
-	if !ok {
-		m = &member{}
-		d.members[rec.ID] = m
-	}
-	changed = !ok || !m.alive || m.draining || m.rec.URL != rec.URL
-	m.rec = rec
-	m.lastBeat = d.now()
-	m.revive()
-	// An explicit join is a deliberate (re)arrival: it cancels any pending
-	// drain. Heartbeats go through Beat, which preserves the drain.
-	m.draining = false
-	return changed
-}
-
 // Beat folds one heartbeat in: liveness plus the worker's reported
-// counters. Unknown and dead workers are revived via Upsert semantics —
-// except that a draining worker's heartbeats keep it alive for in-flight
-// polling without making it placeable again.
+// counters. It is the only way into the directory — an unknown or dead
+// worker is (re)admitted by its next beat. A draining worker's beats keep
+// it alive for in-flight polling without making it placeable again, unless
+// the beat is an arrival: a restarted worker cancels its predecessor's
+// drain. Beat reports whether the placeable membership just changed.
 func (d *Directory) Beat(req core.HeartbeatRequest) (changed bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -83,7 +65,11 @@ func (d *Directory) Beat(req core.HeartbeatRequest) (changed bool) {
 		m = &member{}
 		d.members[req.Worker.ID] = m
 	}
-	changed = !ok || (!m.alive && !m.draining) || (!m.draining && m.rec.URL != req.Worker.URL)
+	if req.Arrival && m.draining {
+		m.draining = false
+		changed = true
+	}
+	changed = changed || !ok || (!m.alive && !m.draining) || (!m.draining && m.rec.URL != req.Worker.URL)
 	m.rec = req.Worker
 	m.lastBeat = d.now()
 	m.revive()
@@ -95,7 +81,7 @@ func (d *Directory) Beat(req core.HeartbeatRequest) (changed bool) {
 // Depart marks a planned departure (an explicit leave): the worker leaves
 // the placement set immediately but stays alive for in-flight polling.
 // Reports whether the worker was known and placeable (i.e. whether the
-// caller should journal and announce the departure).
+// caller should announce the departure).
 func (d *Directory) Depart(id string) (was bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -123,7 +109,7 @@ func (d *Directory) MarkDead(id string) (was bool) {
 }
 
 // Sweep downs every worker whose last heartbeat is older than DeadAfter
-// and returns the newly-dead, for the caller to journal and log.
+// and returns the newly-dead, for the caller to log.
 func (d *Directory) Sweep() []core.WorkerRecord {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -15,15 +15,25 @@ func testDirectory(deadAfter time.Duration) (*Directory, *time.Time) {
 	return d, &now
 }
 
+// arrive sends a worker's first heartbeat, the way a starting Worker does.
+func arrive(d *Directory, w core.WorkerRecord) bool {
+	return d.Beat(core.HeartbeatRequest{Worker: w, Arrival: true})
+}
+
+// beat sends one of a running worker's later heartbeats.
+func beat(d *Directory, w core.WorkerRecord) bool {
+	return d.Beat(core.HeartbeatRequest{Worker: w})
+}
+
 func TestDirectoryLifecycle(t *testing.T) {
 	d, now := testDirectory(time.Second)
 	w := core.WorkerRecord{ID: "w1", URL: "http://w1"}
 
-	if !d.Upsert(w) {
-		t.Fatal("first join not reported as a membership change")
+	if !arrive(d, w) {
+		t.Fatal("first heartbeat not reported as a membership change")
 	}
-	if d.Upsert(w) {
-		t.Error("repeat join of a live worker reported as a change")
+	if beat(d, w) || arrive(d, w) {
+		t.Error("repeat heartbeat of a live worker reported as a change")
 	}
 	if d.Life("w1").Err() != nil {
 		t.Fatal("joined worker not alive")
@@ -54,8 +64,8 @@ func TestDirectoryLifecycle(t *testing.T) {
 
 func TestDirectoryMarkDead(t *testing.T) {
 	d, _ := testDirectory(time.Hour) // heartbeat timeout far away: only MarkDead acts
-	d.Upsert(core.WorkerRecord{ID: "w1", URL: "http://w1"})
-	d.Upsert(core.WorkerRecord{ID: "w2", URL: "http://w2"})
+	arrive(d, core.WorkerRecord{ID: "w1", URL: "http://w1"})
+	arrive(d, core.WorkerRecord{ID: "w2", URL: "http://w2"})
 
 	if !d.MarkDead("w1") {
 		t.Fatal("MarkDead on a live worker reported nothing")
@@ -76,8 +86,8 @@ func TestDirectoryMarkDead(t *testing.T) {
 // new port) must be reported as a change so the ring and client cache refresh.
 func TestDirectoryURLChange(t *testing.T) {
 	d, _ := testDirectory(time.Second)
-	d.Upsert(core.WorkerRecord{ID: "w1", URL: "http://old"})
-	if !d.Upsert(core.WorkerRecord{ID: "w1", URL: "http://new"}) {
+	arrive(d, core.WorkerRecord{ID: "w1", URL: "http://old"})
+	if !arrive(d, core.WorkerRecord{ID: "w1", URL: "http://new"}) {
 		t.Error("URL change not reported")
 	}
 	live := d.Live()
@@ -95,9 +105,9 @@ func TestDirectoryLifeEndsOnDeath(t *testing.T) {
 	w1 := core.WorkerRecord{ID: "w1", URL: "http://w1"}
 	w2 := core.WorkerRecord{ID: "w2", URL: "http://w2"}
 	w3 := core.WorkerRecord{ID: "w3", URL: "http://w3"}
-	d.Upsert(w1)
-	d.Upsert(w2)
-	d.Upsert(w3)
+	arrive(d, w1)
+	arrive(d, w2)
+	arrive(d, w3)
 	if d.Life("ghost").Err() == nil {
 		t.Error("an unknown worker has a live context")
 	}
@@ -107,9 +117,9 @@ func TestDirectoryLifeEndsOnDeath(t *testing.T) {
 			t.Fatalf("%s joined with its life already over", id)
 		}
 	}
-	// A live worker's beats and repeat joins continue the same life.
-	d.Upsert(w1)
-	d.Beat(core.HeartbeatRequest{Worker: w1})
+	// A live worker's beats, arrivals included, continue the same life.
+	arrive(d, w1)
+	beat(d, w1)
 	if d.Life("w1") != life1 {
 		t.Error("a beat from a live worker replaced its life")
 	}
@@ -120,7 +130,7 @@ func TestDirectoryLifeEndsOnDeath(t *testing.T) {
 		t.Error("a departure ended the life its in-flight jobs still need")
 	}
 	*now = now.Add(1500 * time.Millisecond)
-	d.Beat(core.HeartbeatRequest{Worker: w2})
+	beat(d, w2)
 	d.Sweep()
 	if life1.Err() == nil || life3.Err() == nil {
 		t.Errorf("Sweep left a downed worker's life live: w1 %v, w3 %v", life1.Err(), life3.Err())
@@ -138,8 +148,8 @@ func TestDirectoryLifeEndsOnDeath(t *testing.T) {
 	}
 
 	// Coming back starts a new life; the old one stays over.
-	d.Beat(core.HeartbeatRequest{Worker: w1})
-	d.Upsert(w2)
+	beat(d, w1)
+	arrive(d, w2)
 	for id, old := range map[string]context.Context{"w1": life1, "w2": life2} {
 		if fresh := d.Life(id); fresh == old || fresh.Err() != nil {
 			t.Errorf("%s rejoined without a fresh live context", id)
@@ -147,5 +157,30 @@ func TestDirectoryLifeEndsOnDeath(t *testing.T) {
 		if old.Err() == nil {
 			t.Errorf("%s's rejoin revived its old context", id)
 		}
+	}
+}
+
+// TestDirectoryArrivalCancelsDrain: a draining worker's heartbeats keep it
+// alive but off the placement set; only an arrival — the first beat of a
+// restarted process under the same ID — makes it placeable again, and
+// reports the change so the ring refreshes.
+func TestDirectoryArrivalCancelsDrain(t *testing.T) {
+	d, _ := testDirectory(time.Second)
+	w := core.WorkerRecord{ID: "w1", URL: "http://w1"}
+	arrive(d, w)
+	if !d.Depart("w1") {
+		t.Fatal("departure of a placeable worker not reported")
+	}
+	if beat(d, w) || d.Placeable("w1") {
+		t.Fatal("a draining worker's heartbeat made it placeable again")
+	}
+	if d.Life("w1").Err() != nil {
+		t.Fatal("a draining worker's heartbeat ended its life")
+	}
+	if !arrive(d, w) {
+		t.Error("an arrival that cancels a drain not reported as a change")
+	}
+	if !d.Placeable("w1") || len(d.Live()) != 1 {
+		t.Errorf("arrived worker not placeable: live = %v", d.Live())
 	}
 }

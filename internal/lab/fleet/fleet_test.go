@@ -319,6 +319,41 @@ func TestFleetGracefulLeaveDrainsWithoutReassignment(t *testing.T) {
 	}
 }
 
+// TestFleetRestartAfterLeaveIsPlaceable: a worker that left (SIGTERM) and
+// restarts under the same ID before DeadAfter expires is still draining in
+// the directory. Its first heartbeat is an arrival, which cancels the drain:
+// it is placeable again at once and takes back the jobs it owns, without
+// waiting out DeadAfter and without a reassignment.
+func TestFleetRestartAfterLeaveIsPlaceable(t *testing.T) {
+	coord, sched, coordURL := startCoordinator(t, 5*time.Second)
+	dirA := filepath.Join(t.TempDir(), "a")
+	a := startNode(t, "wA", coordURL, dirA)
+	startNode(t, "wB", coordURL, filepath.Join(t.TempDir(), "b"))
+	waitFor(t, "2 workers on the ring", func() bool { return coord.Ring().Len() == 2 })
+	owned := specsOwnedBy(t, coord, "wA", 2)
+
+	a.w.Leave()
+	waitFor(t, "ring to exclude the leaver", func() bool { return coord.Ring().Len() == 1 })
+	a.kill(t)
+	if coord.Directory().Life("wA").Err() != nil {
+		t.Fatal("leaver went dead before DeadAfter; the test needs it still draining")
+	}
+
+	start := time.Now()
+	restarted := startNodeAt(t, "wA", coordURL, dirA, strings.TrimPrefix(a.hts.URL, "http://"), nil)
+	waitFor(t, "restarted wA back on the ring", func() bool { return coord.Ring().Len() == 2 })
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("restarted worker placeable after %v, want within a few 50ms heartbeats", took)
+	}
+	runAll(t, sched, owned)
+	if n := coord.Reassigned(); n != 0 {
+		t.Errorf("reassigned = %d, want 0", n)
+	}
+	if got := restarted.w.Simulated() + restarted.w.PeerHits(); got != uint64(len(owned)) {
+		t.Errorf("restarted wA resolved %d of the %d jobs it owns", got, len(owned))
+	}
+}
+
 // TestFleetHoldsJobsWithNoWorkers: with every worker gone the coordinator
 // parks jobs rather than failing them, releases them the moment a worker
 // appears, and lets a parked job be canceled.

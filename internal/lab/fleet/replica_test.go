@@ -87,7 +87,7 @@ func TestEpochGateMiddleware(t *testing.T) {
 }
 
 // TestReplicationStreamsJournal: a follower pulling an active primary ends
-// up with a faithful, same-numbering copy — jobs, workers, sweeps, epoch —
+// up with a faithful, same-numbering copy — jobs, sweeps, epoch —
 // and the primary's lag gauge for it drains to zero. Records stream over
 // held pulls: with DeadAfter an hour, a failed pull would stall the test.
 func TestReplicationStreamsJournal(t *testing.T) {
@@ -95,9 +95,6 @@ func TestReplicationStreamsJournal(t *testing.T) {
 	rep, hts := primaryFor(t, primary)
 
 	if _, err := primary.BumpEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.WorkerUp(core.WorkerRecord{ID: "w1", URL: "http://w1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Submitted("j0001-aaaa", 1, core.Spec{Experiment: "numa", Quick: true}, "fp-a"); err != nil {
@@ -132,9 +129,6 @@ func TestReplicationStreamsJournal(t *testing.T) {
 	jobs := standby.Jobs()
 	if len(jobs) != 1 || jobs[0].State != core.JobDone {
 		t.Fatalf("standby jobs = %+v, want one done job", jobs)
-	}
-	if ws := standby.Workers(); len(ws) != 1 || ws[0].ID != "w1" {
-		t.Fatalf("standby workers = %+v", ws)
 	}
 	if sw := standby.Sweeps(); len(sw) != 1 || sw[0].SweepID != "s0001" || len(sw[0].JobIDs) != 1 {
 		t.Fatalf("standby sweeps = %+v", sw)
@@ -308,7 +302,7 @@ func TestFencedCoordinatorStepsDown(t *testing.T) {
 
 	c := NewCoordinator(CoordinatorConfig{DeadAfter: time.Hour, Epoch: 1, Logf: t.Logf})
 	defer c.Close()
-	c.dir.Upsert(core.WorkerRecord{ID: "w1", URL: worker.URL})
+	c.dir.Beat(core.HeartbeatRequest{Worker: core.WorkerRecord{ID: "w1", URL: worker.URL}})
 	c.refreshRing()
 
 	_, err := c.Execute(context.Background(), core.Spec{Experiment: "numa", Quick: true}, "fp-x")

@@ -123,7 +123,7 @@ func TestPickOwnerSkipsTwoSimultaneousDeaths(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{DeadAfter: time.Hour, Logf: t.Logf})
 	defer c.Close()
 	for _, w := range members("w1", "w2", "w3") {
-		c.dir.Upsert(w)
+		c.dir.Beat(core.HeartbeatRequest{Worker: w})
 	}
 	c.refreshRing()
 
@@ -143,9 +143,9 @@ func TestPickOwnerSkipsTwoSimultaneousDeaths(t *testing.T) {
 				key, got.ID, seq[2].ID, seq[0].ID, seq[1].ID)
 		}
 
-		// Revive for the next key (Upsert marks alive again).
-		c.dir.Upsert(seq[0])
-		c.dir.Upsert(seq[1])
+		// Revive for the next key (a heartbeat marks alive again).
+		c.dir.Beat(core.HeartbeatRequest{Worker: seq[0]})
+		c.dir.Beat(core.HeartbeatRequest{Worker: seq[1]})
 	}
 
 	// All three dead: no owner, and pickOwner says so instead of returning
@@ -170,7 +170,7 @@ func TestRefreshRingKeepsConcurrentJoins(t *testing.T) {
 			wg.Add(1)
 			go func(w core.WorkerRecord) {
 				defer wg.Done()
-				if c.dir.Upsert(w) {
+				if c.dir.Beat(core.HeartbeatRequest{Worker: w, Arrival: true}) {
 					c.refreshRing()
 				}
 			}(w)

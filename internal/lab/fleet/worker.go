@@ -22,22 +22,23 @@ type WorkerConfig struct {
 	Coordinator string
 	// HeartbeatEvery paces liveness reports (default 1s).
 	HeartbeatEvery time.Duration
-	// ProbeSiblings is how many ring siblings to ask for a cached result
-	// before simulating (default 2).
-	ProbeSiblings int
 	// Logf receives the worker's log lines (default: discard).
 	Logf func(format string, args ...any)
 }
 
-// Worker is the fleet-side of a butterflyd worker process: it joins the
-// coordinator, heartbeats it (carrying peer-fill counters), keeps a local
-// copy of the ring from each heartbeat ack, and offers PeerFill — the
-// scheduler hook that resolves a job from a ring sibling's cache instead
-// of simulating it. Heartbeat acks also carry the coordinator failover
-// list and epoch: when the primary stops answering, the worker walks the
-// list until a (possibly promoted) coordinator answers, and its EpochGate
-// rejects dispatches from any coordinator older than the newest it has
-// seen.
+// probeSiblings is how many ring siblings PeerFill asks for a cached result
+// before simulating.
+const probeSiblings = 2
+
+// Worker is the fleet-side of a butterflyd worker process: it heartbeats
+// the coordinator (carrying peer-fill counters; the first beat is how it
+// joins), keeps a local copy of the ring from each heartbeat ack, and
+// offers PeerFill — the scheduler hook that resolves a job from a ring
+// sibling's cache instead of simulating it. Heartbeat acks also carry the
+// coordinator failover list and epoch: when the primary stops answering,
+// the worker walks the list until a (possibly promoted) coordinator
+// answers, and its EpochGate rejects dispatches from any coordinator older
+// than the newest it has seen.
 type Worker struct {
 	cfg   WorkerConfig
 	hc    *http.Client // heartbeats and sibling cache probes
@@ -52,7 +53,7 @@ type Worker struct {
 
 	peerHits  atomic.Uint64
 	simulated atomic.Uint64
-	lastAck   atomic.Int64 // UnixNano of the last heartbeat ack; 0 = never
+	lastAck   atomic.Int64 // UnixNano of the last heartbeat ack; 0 = never (beats are arrivals)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -65,16 +66,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = time.Second
 	}
-	if cfg.ProbeSiblings <= 0 {
-		cfg.ProbeSiblings = 2
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	// A missed heartbeat is retried by the next tick, not by backoff: one
 	// bounded attempt per tick keeps the cadence honest while the
-	// coordinator is down, and the first successful beat after its restart
-	// re-joins this worker automatically.
+	// coordinator is down, and the first beat a restarted coordinator
+	// receives re-admits this worker.
 	w := &Worker{
 		cfg:    cfg,
 		hc:     &http.Client{Timeout: 2 * time.Second},
@@ -135,22 +133,23 @@ func (w *Worker) adoptCoordinators(answered string, list []string) {
 	}
 }
 
-// Start joins the coordinator (retrying until it answers) and then
-// heartbeats forever. Both run on a background goroutine so a worker can
-// come up before its coordinator does.
+// Start heartbeats the coordinator: once right away, then every tick. The
+// beats sent until one is acknowledged are arrivals — the first one the
+// coordinator hears makes this worker placeable, even if a previous run
+// under the same ID left a drain pending. The loop runs on a background
+// goroutine so a worker can come up before its coordinator does.
 func (w *Worker) Start() {
 	w.done.Add(1)
 	go func() {
 		defer w.done.Done()
-		w.join()
 		t := time.NewTicker(w.cfg.HeartbeatEvery)
 		defer t.Stop()
 		for {
+			w.beat()
 			select {
 			case <-w.stop:
 				return
 			case <-t.C:
-				w.beat()
 			}
 		}
 	}()
@@ -162,46 +161,16 @@ func (w *Worker) Stop() {
 	w.done.Wait()
 }
 
-// join announces the worker until the coordinator answers. Heartbeats
-// would get there eventually (they join implicitly), but an explicit join
-// makes a fresh worker placeable after one round-trip.
-func (w *Worker) join() {
-	body, _ := json.Marshal(core.JoinRequest{Worker: w.cfg.Self})
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		coord := w.coordinator()
-		resp, err := w.hc.Post(coord+"/fleet/join", "application/json", bytes.NewReader(body))
-		if err == nil {
-			view, derr := decodeView(resp)
-			if derr == nil {
-				w.acceptView(coord, view)
-				w.cfg.Logf("fleet: joined coordinator=%s ring=%d epoch=%d", coord, len(view.Workers), view.Epoch)
-				return
-			}
-			err = derr
-		}
-		w.cfg.Logf("fleet: join pending coordinator=%s err=%v", coord, err)
-		w.advanceCoordinator()
-		select {
-		case <-w.stop:
-			return
-		case <-time.After(w.cfg.HeartbeatEvery):
-		}
-	}
-}
-
 // beat sends one heartbeat and folds the ack's membership into the local
 // ring. Failure rotates to the next coordinator on the failover list (a
 // standby that took over answers there) and is otherwise forgotten: the
 // next tick tries again, and the first beat a restarted — or newly
-// promoted — coordinator receives re-joins this worker.
+// promoted — coordinator receives re-admits this worker.
 func (w *Worker) beat() {
+	arrival := w.lastAck.Load() == 0
 	body, _ := json.Marshal(core.HeartbeatRequest{
 		Worker:    w.cfg.Self,
+		Arrival:   arrival,
 		PeerHits:  w.peerHits.Load(),
 		Simulated: w.simulated.Load(),
 	})
@@ -226,6 +195,9 @@ func (w *Worker) beat() {
 		return
 	}
 	w.acceptView(coord, view)
+	if arrival {
+		w.cfg.Logf("fleet: joined coordinator=%s ring=%d epoch=%d", coord, len(view.Workers), view.Epoch)
+	}
 }
 
 // Leave announces a planned departure to the current coordinator — called
@@ -254,7 +226,7 @@ func (w *Worker) acceptView(answered string, view core.FleetView) {
 }
 
 // PeerFill is the lab.Config.PeerFill hook: before simulating, ask up to
-// ProbeSiblings ring neighbors whether they already hold the result. The
+// probeSiblings ring neighbors whether they already hold the result. The
 // fleet has usually computed any given fingerprint exactly once — on this
 // job's previous owner — so a worker that just joined (or inherited an
 // arc in a reassignment) fills its cache instead of burning CPU. Probing
@@ -269,7 +241,7 @@ func (w *Worker) PeerFill(ctx context.Context, spec core.Spec, fp string) (*core
 		if peer.ID == w.cfg.Self.ID {
 			continue
 		}
-		if probes++; probes > w.cfg.ProbeSiblings {
+		if probes++; probes > probeSiblings {
 			break
 		}
 		res, ok := w.probe(ctx, peer, fp)

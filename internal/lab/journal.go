@@ -82,11 +82,6 @@ type Journal struct {
 	// polling for it.
 	grew chan struct{}
 
-	// workers is the fleet membership table a coordinator journals
-	// alongside its jobs: worker ID → record for every worker currently
-	// believed up. Single-box daemons never touch it.
-	workers map[string]core.WorkerRecord
-
 	// sweeps maps sweep ID → grid-ordered job IDs (EventSweep), so a
 	// replacement coordinator can reassemble sweeps it never accepted.
 	sweeps     map[string]core.SweepRecord
@@ -110,10 +105,9 @@ func OpenJournal(dir string) (*Journal, error) {
 	}
 	j := &Journal{
 		dir: dir, CompactEvery: 4096, TailMax: 4096,
-		state:   make(map[string]*core.JobRecord),
-		workers: make(map[string]core.WorkerRecord),
-		sweeps:  make(map[string]core.SweepRecord),
-		grew:    make(chan struct{}),
+		state:  make(map[string]*core.JobRecord),
+		sweeps: make(map[string]core.SweepRecord),
+		grew:   make(chan struct{}),
 	}
 
 	if err := j.loadSnapshot(); err != nil {
@@ -204,18 +198,14 @@ func (j *Journal) replayLog() error {
 // rest). It is the one gate every record passes — replayed, appended, or
 // replicated — so nothing replay would refuse can reach disk.
 //
-// Membership, epoch, and sweep records are deliberately idempotent here: a
-// down for an unknown worker, an up for a known one, a stale epoch, and a
-// re-sent sweep all fold as no-ops, because they race the journal writes
-// that record them and can ride a replicated stream that predates the
-// follower's own takeover. The stricter rules for this process's own
-// writes live in append.
+// Epoch and sweep records are deliberately idempotent here: a stale epoch
+// and a re-sent sweep fold as no-ops, because they can ride a replicated
+// stream that predates the follower's own takeover. The stricter rules for
+// this process's own writes live in append. The legacy membership records
+// of older journals fold as no-ops too.
 func (j *Journal) stageLocked(r core.JournalRecord) (*core.JobRecord, error) {
 	switch r.Event {
 	case core.EventWorkerUp, core.EventWorkerDown:
-		if r.Worker == nil || r.Worker.ID == "" {
-			return nil, fmt.Errorf("fleet event %q without a worker record", r.Event)
-		}
 		return nil, nil
 	case core.EventEpoch:
 		if r.Epoch == 0 {
@@ -252,10 +242,8 @@ func (j *Journal) stageLocked(r core.JournalRecord) (*core.JobRecord, error) {
 // record number.
 func (j *Journal) applyLocked(r core.JournalRecord, staged *core.JobRecord) {
 	switch r.Event {
-	case core.EventWorkerUp:
-		j.workers[r.Worker.ID] = *r.Worker
-	case core.EventWorkerDown:
-		delete(j.workers, r.Worker.ID)
+	case core.EventWorkerUp, core.EventWorkerDown:
+		// Legacy membership: nothing to fold, only the record number.
 	case core.EventEpoch:
 		j.epoch = max(j.epoch, r.Epoch)
 	case core.EventSweep:
@@ -411,31 +399,6 @@ func (j *Journal) Interrupted(id string) error {
 	return j.append(core.JournalRecord{Event: core.EventInterrupted, JobID: id})
 }
 
-// WorkerUp journals a fleet worker joining (or rejoining) the coordinator.
-func (j *Journal) WorkerUp(w core.WorkerRecord) error {
-	return j.append(core.JournalRecord{Event: core.EventWorkerUp, Worker: &w})
-}
-
-// WorkerDown journals a fleet worker leaving (missed heartbeats or an
-// explicit departure).
-func (j *Journal) WorkerDown(w core.WorkerRecord) error {
-	return j.append(core.JournalRecord{Event: core.EventWorkerDown, Worker: &w})
-}
-
-// Workers returns the last-known fleet membership, sorted by worker ID — a
-// restarted coordinator probes these before any worker happens to
-// heartbeat again.
-func (j *Journal) Workers() []core.WorkerRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]core.WorkerRecord, 0, len(j.workers))
-	for _, w := range j.workers {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
 // SweepSubmitted journals a sweep's identity: its ID and grid-ordered job
 // IDs, durably tied to the jobs it expanded to.
 func (j *Journal) SweepSubmitted(id string, jobIDs []string) error {
@@ -528,16 +491,13 @@ func (j *Journal) ReplicaState() core.ReplicaState {
 }
 
 // stateLocked builds the journal's state image: every job at its last
-// applied state in submission order, membership sorted by worker ID, and
-// sweeps in submission order, stamped with the record number it reflects.
+// applied state in submission order and sweeps in submission order,
+// stamped with the record number it reflects.
 func (j *Journal) stateLocked() core.ReplicaState {
 	st := core.ReplicaState{Schema: journalSchema, Rec: j.rec, Seq: j.maxSeq, Epoch: j.epoch,
 		Jobs: make([]core.JobRecord, 0, len(j.order))}
 	for _, id := range j.order {
 		st.Jobs = append(st.Jobs, *j.state[id])
-	}
-	for _, id := range sortedWorkerIDs(j.workers) {
-		st.Workers = append(st.Workers, j.workers[id])
 	}
 	for _, id := range j.sweepOrder {
 		st.Sweeps = append(st.Sweeps, j.sweeps[id])
@@ -562,13 +522,6 @@ func (j *Journal) installLocked(st core.ReplicaState) error {
 		state[r.JobID] = &r
 		order = append(order, r.JobID)
 	}
-	workers := make(map[string]core.WorkerRecord, len(st.Workers))
-	for _, w := range st.Workers {
-		if w.ID == "" {
-			return errors.New("worker with no id")
-		}
-		workers[w.ID] = w
-	}
 	sweeps := make(map[string]core.SweepRecord, len(st.Sweeps))
 	var sweepOrder []string
 	for _, sw := range st.Sweeps {
@@ -579,7 +532,7 @@ func (j *Journal) installLocked(st core.ReplicaState) error {
 		sweepOrder = append(sweepOrder, sw.SweepID)
 	}
 	j.rec, j.maxSeq, j.epoch = st.Rec, st.Seq, max(j.epoch, st.Epoch)
-	j.state, j.order, j.workers = state, order, workers
+	j.state, j.order = state, order
 	j.sweeps, j.sweepOrder = sweeps, sweepOrder
 	j.tail = nil
 	return nil
@@ -659,16 +612,6 @@ func (j *Journal) compactLocked() error {
 	j.f = f
 	j.appends = 0
 	return nil
-}
-
-// sortedWorkerIDs orders the membership table for deterministic snapshots.
-func sortedWorkerIDs(m map[string]core.WorkerRecord) []string {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Close compacts one last time (a clean shutdown leaves only a snapshot)

@@ -12,32 +12,58 @@ import (
 	"butterfly/internal/core"
 )
 
-// TestJournalReplayMembershipEdgeCases: a raw log (as a standby's
-// replicated journal is — records written verbatim, not validated by this
-// process's append path) may carry duplicate worker-up records or a
-// worker-down for an ID never seen up. Replay must fold both idempotently,
-// because membership changes race the journal writes that record them.
+// TestJournalReplayMembershipEdgeCases: a replicated stream from an older
+// primary may carry worker-up/worker-down records — duplicates, a down for
+// an ID never seen up — on the wire. AppendReplica takes each as a no-op
+// that advances the record number, writes it through, and the follower's
+// journal replays it on reopen.
 func TestJournalReplayMembershipEdgeCases(t *testing.T) {
-	wA := core.WorkerRecord{ID: "wA", URL: "http://a"}
 	dir := t.TempDir()
-	content := jline(t, core.JournalRecord{Rec: 1, Event: core.EventWorkerUp, Worker: &wA}) +
-		jline(t, core.JournalRecord{Rec: 2, Event: core.EventWorkerUp, Worker: &wA}) + // duplicate up
-		jline(t, core.JournalRecord{Rec: 3, Event: core.EventWorkerDown, Worker: &core.WorkerRecord{ID: "ghost", URL: "http://ghost"}}) + // down for unknown ID
-		jline(t, core.JournalRecord{Rec: 4, Event: core.EventWorkerUp, Worker: &core.WorkerRecord{ID: "wB", URL: "http://b"}}) +
-		jline(t, core.JournalRecord{Rec: 5, Event: core.EventWorkerDown, Worker: &core.WorkerRecord{ID: "wB", URL: "http://b"}})
-	writeLog(t, dir, content)
-
 	j, err := OpenJournal(dir)
 	if err != nil {
-		t.Fatalf("membership edge cases must replay cleanly, got: %v", err)
+		t.Fatal(err)
 	}
-	defer j.Close()
-	got := j.Workers()
-	if len(got) != 1 || got[0].ID != "wA" {
-		t.Fatalf("workers after replay = %+v, want [wA]", got)
+	wire := `[
+  {"rec":1,"event":"worker-up","job_id":"","worker":{"id":"wA","url":"http://a"}},
+  {"rec":2,"event":"worker-up","job_id":"","worker":{"id":"wA","url":"http://a"}},
+  {"rec":3,"event":"worker-down","job_id":"","worker":{"id":"ghost","url":"http://ghost"}},
+  {"rec":4,"event":"submitted","job_id":"j0001-a","seq":1,"spec":{"experiment":"numa","quick":true},"fingerprint":"fp-a"},
+  {"rec":5,"event":"worker-down","job_id":"","worker":{"id":"wA","url":"http://a"}}
+]`
+	var recs []core.JournalRecord
+	if err := json.Unmarshal([]byte(wire), &recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := j.AppendReplica(r); err != nil {
+			t.Fatalf("replicating legacy record %d (%s): %v", r.Rec, r.Event, err)
+		}
 	}
 	if j.Rec() != 5 {
-		t.Errorf("Rec = %d after replaying 5 records", j.Rec())
+		t.Errorf("Rec = %d after replicating 5 records", j.Rec())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replay the same records from the log itself, not the snapshot.
+	if err := os.Remove(filepath.Join(dir, "snapshot.json")); err != nil {
+		t.Fatal(err)
+	}
+	var log string
+	for _, r := range recs {
+		log += jline(t, r)
+	}
+	writeLog(t, dir, log)
+	re, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatalf("legacy membership records must replay cleanly, got: %v", err)
+	}
+	defer re.Close()
+	if re.Rec() != 5 {
+		t.Errorf("Rec = %d after replaying 5 records", re.Rec())
+	}
+	if jobs := re.Jobs(); len(jobs) != 1 || jobs[0].JobID != "j0001-a" {
+		t.Errorf("membership records disturbed the job table: %+v", jobs)
 	}
 }
 
@@ -163,7 +189,6 @@ func TestReplicaStateInstallGuards(t *testing.T) {
 		name string
 		st   core.ReplicaState
 	}{
-		{"worker with no id", core.ReplicaState{Workers: []core.WorkerRecord{{URL: "http://nameless"}}}},
 		{"sweep with no id", core.ReplicaState{Sweeps: []core.SweepRecord{{JobIDs: []string{"b-job"}}}}},
 		{"job with no id", core.ReplicaState{Jobs: []core.JobRecord{{Seq: 9, Spec: spec, State: core.JobQueued}}}},
 	} {
@@ -300,17 +325,12 @@ func TestReplicaConvergesToPrimaryImage(t *testing.T) {
 		}
 	}
 	spec := specNuma()
-	wA := core.WorkerRecord{ID: "wA", URL: "http://a"}
-	wB := core.WorkerRecord{ID: "wB", URL: "http://b"}
 	steps := []func() error{
 		func() error { _, err := primary.BumpEpoch(); return err },
-		func() error { return primary.WorkerUp(wA) },
-		func() error { return primary.WorkerUp(wB) },
 		func() error { return primary.Submitted("j0001-a", 1, spec, "fp-a") },
 		func() error { return primary.Submitted("j0002-b", 2, spec, "fp-b") },
 		func() error { return primary.SweepSubmitted("s0001", []string{"j0001-a", "j0002-b"}) },
 		func() error { return primary.Started("j0001-a") },
-		func() error { return primary.WorkerDown(wA) },
 		func() error { return primary.Finished("j0001-a", core.JobDone, "") },
 		func() error { return primary.Started("j0002-b") },
 		func() error { return primary.Finished("j0002-b", core.JobFailed, "boom") },
@@ -355,8 +375,8 @@ func TestReplicaConvergesToPrimaryImage(t *testing.T) {
 		t.Fatalf("snapshot.json differs:\nprimary  %s\nfollower %s", primSnap, folSnap)
 	}
 
-	// The same image in the older on-disk field order (epoch after the
-	// tables) opens to the same state.
+	// The same image in the older on-disk form (epoch after the tables, and
+	// the membership table older coordinators kept) opens to the same state.
 	old := struct {
 		Schema  string              `json:"schema"`
 		Rec     int64               `json:"rec"`
@@ -365,7 +385,7 @@ func TestReplicaConvergesToPrimaryImage(t *testing.T) {
 		Workers []core.WorkerRecord `json:"workers,omitempty"`
 		Epoch   uint64              `json:"epoch,omitempty"`
 		Sweeps  []core.SweepRecord  `json:"sweeps,omitempty"`
-	}{want.Schema, want.Rec, want.Seq, want.Jobs, want.Workers, want.Epoch, want.Sweeps}
+	}{want.Schema, want.Rec, want.Seq, want.Jobs, []core.WorkerRecord{{ID: "wA", URL: "http://a"}}, want.Epoch, want.Sweeps}
 	b, err := json.MarshalIndent(old, "", "  ")
 	if err != nil {
 		t.Fatal(err)

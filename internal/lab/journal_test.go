@@ -461,22 +461,16 @@ func TestJournalCompactionRacesAppends(t *testing.T) {
 			}
 		}(g)
 	}
-	// Fleet membership events race the job stream too, as they do on a live
+	// Sweep identities race the job stream too, as they do on a live
 	// coordinator.
+	const sweeps = 20
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			w := core.WorkerRecord{ID: fmt.Sprintf("w%d", i%4), URL: "http://w"}
-			if err := j.WorkerUp(w); err != nil {
-				t.Errorf("worker up: %v", err)
+		for i := 0; i < sweeps; i++ {
+			if err := j.SweepSubmitted(fmt.Sprintf("s%04d", i), []string{fmt.Sprintf("j%02d%02d-race", i%goroutines, i%jobsEach)}); err != nil {
+				t.Errorf("sweep: %v", err)
 				return
-			}
-			if i%2 == 1 {
-				if err := j.WorkerDown(w); err != nil {
-					t.Errorf("worker down: %v", err)
-					return
-				}
 			}
 		}
 	}()
@@ -501,6 +495,9 @@ func TestJournalCompactionRacesAppends(t *testing.T) {
 	}
 	if re.MaxSeq() != goroutines*jobsEach {
 		t.Errorf("MaxSeq = %d, want %d", re.MaxSeq(), goroutines*jobsEach)
+	}
+	if got := len(re.Sweeps()); got != sweeps {
+		t.Errorf("replayed %d sweeps, want %d", got, sweeps)
 	}
 }
 
@@ -566,48 +563,72 @@ func TestJournalTornSnapshotTempIgnored(t *testing.T) {
 	}
 }
 
-// TestJournalWorkerMembershipRoundTrip: worker-up/worker-down records and
-// their snapshot form survive close/reopen, and are idempotent the way
-// live membership churn requires.
+// TestJournalWorkerMembershipRoundTrip: a journal written when fleet
+// membership was journaled — worker-up/worker-down lines in the log and a
+// "workers" table in the snapshot — still opens. The membership records
+// fold as no-ops that advance the record number; jobs, sweeps, and the
+// epoch come back intact, and the compacted snapshot drops the table.
 func TestJournalWorkerMembershipRoundTrip(t *testing.T) {
 	dir := t.TempDir()
+	snap := fmt.Sprintf(`{
+  "schema": %q,
+  "rec": 4,
+  "seq": 1,
+  "epoch": 1,
+  "jobs": [{"job_id":"j0001-a","seq":1,"spec":{"experiment":"numa","quick":true},"fingerprint":"fp-a","state":"done"}],
+  "workers": [{"id":"wA","url":"http://a"},{"id":"wB","url":"http://b"}],
+  "sweeps": [{"sweep_id":"s0001","job_ids":["j0001-a"]}]
+}
+`, journalSchema)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeLog(t, dir,
+		`{"rec":5,"event":"worker-up","job_id":"","worker":{"id":"wC","url":"http://c"},"unix_ms":1}`+"\n"+
+			`{"rec":6,"event":"submitted","job_id":"j0002-b","seq":2,"spec":{"experiment":"numa","quick":true},"fingerprint":"fp-b","unix_ms":2}`+"\n"+
+			`{"rec":7,"event":"worker-down","job_id":"","worker":{"id":"wA","url":"http://a"},"unix_ms":3}`+"\n"+
+			`{"rec":8,"event":"started","job_id":"j0002-b","unix_ms":4}`+"\n"+
+			`{"rec":9,"event":"worker-down","job_id":"","worker":{"id":"ghost","url":"http://ghost"},"unix_ms":5}`+"\n")
+
+	check := func(j *Journal) {
+		t.Helper()
+		if j.Rec() != 9 {
+			t.Errorf("Rec = %d, want 9: legacy records must still advance it", j.Rec())
+		}
+		if j.Epoch() != 1 || j.MaxSeq() != 2 {
+			t.Errorf("epoch %d, max seq %d; want 1, 2", j.Epoch(), j.MaxSeq())
+		}
+		jobs := j.Jobs()
+		if len(jobs) != 2 || jobs[0].JobID != "j0001-a" || jobs[0].State != core.JobDone ||
+			jobs[1].JobID != "j0002-b" || jobs[1].State != core.JobRunning {
+			t.Errorf("jobs = %+v, want j0001-a done and j0002-b running", jobs)
+		}
+		if sw := j.Sweeps(); len(sw) != 1 || sw[0].SweepID != "s0001" {
+			t.Errorf("sweeps = %+v, want [s0001]", sw)
+		}
+	}
 	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatalf("journal with membership records refused: %v", err)
+	}
+	check(j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wA := core.WorkerRecord{ID: "wA", URL: "http://a"}
-	wB := core.WorkerRecord{ID: "wB", URL: "http://b"}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if strings.Contains(string(b), `"workers"`) {
+		t.Errorf("compacted snapshot still carries a membership table:\n%s", b)
 	}
-	must(j.WorkerUp(wA))
-	must(j.WorkerUp(wA)) // re-join: idempotent
-	must(j.WorkerUp(wB))
-	must(j.WorkerDown(core.WorkerRecord{ID: "ghost", URL: "http://ghost"})) // unknown: fine
-	must(j.WorkerDown(wB))
-	// Jobs and fleet events interleave in one log.
-	must(j.Submitted("j0001-mix", 1, specNuma(), "fp"))
-	must(j.WorkerUp(core.WorkerRecord{ID: "wC", URL: "http://c"}))
-	must(j.Close())
-
 	re, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got := re.Workers()
-	if len(got) != 2 || got[0].ID != "wA" || got[1].ID != "wC" {
-		t.Fatalf("workers after reopen = %+v, want [wA wC]", got)
-	}
-	if jobs := re.Jobs(); len(jobs) != 1 || jobs[0].JobID != "j0001-mix" {
-		t.Errorf("fleet events disturbed the job table: %+v", jobs)
-	}
-
-	// A worker record with no ID must be rejected before reaching disk.
-	if err := re.WorkerUp(core.WorkerRecord{URL: "http://nameless"}); err == nil {
-		t.Error("worker-up without an ID was journaled")
-	}
+	check(re)
 }

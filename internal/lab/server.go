@@ -142,9 +142,6 @@ func (s *Server) Attach(sched *Scheduler) { s.sched.Store(sched) }
 // up for clients polling their in-flight jobs.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Ready reports whether the server is attached and not draining.
-func (s *Server) Ready() bool { return s.sched.Load() != nil && !s.draining.Load() }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -302,7 +299,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	v := statusView(j)
 	status := http.StatusAccepted
-	if v.State == StateDone { // served from cache at submit time
+	if v.State == StateDone && v.CacheHit { // served from the cache, not merely finished already
 		status = http.StatusOK
 	}
 	writeJSON(w, status, v)

@@ -167,9 +167,6 @@ func (s *Stream) ReadFull(p *sim.Proc, b []byte) error {
 	return nil
 }
 
-// Pending reports buffered chunks not yet read (diagnostics).
-func (s *Stream) Pending() int { return len(s.data) }
-
 // Build creates the mesh: one Chrysalis process per element (assigned
 // round-robin to machine nodes), all neighbour streams connected, and body
 // running as each element. This is NET's half-page-of-code pitch: the caller

@@ -200,9 +200,6 @@ func (k *Kernel) NewDomain(pr *chrysalis.Process, keys ...Key) *Domain {
 	return &Domain{Pr: pr, Kernel: k, keys: keys, opened: make(map[*Realm]openState)}
 }
 
-// AddKey gives the domain another key.
-func (d *Domain) AddKey(key Key) { d.keys = append(d.keys, key) }
-
 // check performs lazy privilege evaluation: the first contact between the
 // domain and the realm (or the first after an ACL change) costs a kernel
 // trap plus an access-list scan; afterwards the verified rights are cached

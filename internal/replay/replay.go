@@ -145,8 +145,8 @@ func (m *Monitor) next(p *sim.Proc, o *Object, write bool) Entry {
 }
 
 // stateChanged wakes every process waiting for this object to advance.
-func (o *Object) stateChanged() {
-	o.waiters.WakeAll(o.mon.os.M.E, 0)
+func (o *Object) stateChanged(p *sim.Proc) {
+	o.waiters.WakeAll(p, 0)
 }
 
 // chargeMonitor accounts for the version-word maintenance: one atomic
@@ -178,7 +178,7 @@ func (o *Object) Read(p *sim.Proc, body func()) {
 			o.waiters.Wait(p)
 		}
 		o.readersOfVersion++
-		o.stateChanged() // a writer may be waiting for this reader count
+		o.stateChanged(p) // a writer may be waiting for this reader count
 		body()
 	}
 }
@@ -206,7 +206,7 @@ func (o *Object) Write(p *sim.Proc, body func()) {
 		body()
 		o.version++
 		o.readersOfVersion = 0
-		o.stateChanged()
+		o.stateChanged(p)
 	}
 }
 

@@ -28,7 +28,7 @@ func (b *Barrier) Wait(p *Proc) {
 	if b.arrived == b.n {
 		b.arrived = 0
 		b.rounds++
-		b.wq.WakeAll(p.eng, 0)
+		b.wq.WakeAll(p, 0)
 		return
 	}
 	b.wq.Wait(p)

@@ -150,11 +150,11 @@ type Stats struct {
 	MaxHeapDepth int    // high-water mark of the pending-event heap(s)
 }
 
-// DefaultLookahead is the default bound on how much virtual time a process
-// may accumulate locally before Charge forces a flush. Sync points flush
-// regardless, so the threshold only limits long runs of pure computation.
-// In partitioned mode it is also the width of the synchronization window.
-const DefaultLookahead = 250 * Microsecond
+// Lookahead bounds how much virtual time a process may accumulate locally
+// before Charge forces a flush. Sync points flush regardless, so the
+// threshold only limits long runs of pure computation. In partitioned mode
+// it is also the width of the synchronization window.
+const Lookahead = 250 * Microsecond
 
 // sched is the event queue and clock of one partition. A classic engine has
 // exactly one; a partitioned engine has one per partition, each driven by its
@@ -204,11 +204,10 @@ func (s *sched) flushRunning() {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New. By default it is strictly sequential; see EnablePartitions.
 type Engine struct {
-	scheds    []*sched
-	done      chan struct{}
-	procs     []*Proc
-	lookahead int64
-	started   bool
+	scheds  []*sched
+	done    chan struct{}
+	procs   []*Proc
+	started bool
 
 	// Partitioned-mode state (see partition.go). windowed is set by
 	// EnablePartitions; partOf maps a node index to a partition index;
@@ -246,7 +245,7 @@ type Engine struct {
 
 // New creates an empty simulation engine at virtual time zero.
 func New() *Engine {
-	e := &Engine{done: make(chan struct{}, 1), lookahead: DefaultLookahead}
+	e := &Engine{done: make(chan struct{}, 1)}
 	e.scheds = []*sched{newSched(e, 0)}
 	return e
 }
@@ -282,16 +281,6 @@ func (e *Engine) Now() int64 {
 // classic engine this equals Engine.Now. Unlike Engine.Now it is always safe
 // to call from a running process body.
 func (p *Proc) Now() int64 { return p.sd.now }
-
-// SetLookahead bounds how much virtual time a process may accumulate via
-// Charge before being flushed through the event queue, and — on a partitioned
-// engine — sets the width of the synchronization window. Values <= 0 make
-// every Charge flush immediately (eager charging, useful to bisect
-// equivalence issues). The default is DefaultLookahead.
-func (e *Engine) SetLookahead(d int64) { e.lookahead = d }
-
-// Lookahead returns the current lookahead threshold.
-func (e *Engine) Lookahead() int64 { return e.lookahead }
 
 // Stats returns a copy of the engine counters, summed across partitions.
 func (e *Engine) Stats() Stats {
@@ -705,7 +694,7 @@ func (p *Proc) mustBeRunning(op string) {
 // local clock without suspending it. The charge becomes visible to other
 // processes at the next synchronization point (Advance, Sync, Block, queue
 // and barrier operations, exit), or immediately once the accumulated slice
-// reaches the engine's lookahead threshold. d must be >= 0.
+// reaches Lookahead. d must be >= 0.
 func (p *Proc) Charge(d int64) {
 	p.mustBeRunning("Charge")
 	if d < 0 {
@@ -713,7 +702,7 @@ func (p *Proc) Charge(d int64) {
 	}
 	p.local += d
 	p.sd.stats.Charges++
-	if p.local >= p.eng.lookahead {
+	if p.local >= Lookahead {
 		p.sync()
 	}
 }
@@ -781,22 +770,22 @@ func (p *Proc) Block(reason string) {
 }
 
 // Unblock makes a blocked process runnable again at the current virtual time
-// (plus delay nanoseconds). It must be called from the running process or
-// from engine setup, never on a process that is not blocked. A running
-// caller's local clock is flushed first, so the wake happens at the caller's
-// true current time.
+// (plus delay nanoseconds). waker is the caller: the running process, or nil
+// from engine setup. Unblock is never called on a process that is not
+// blocked. A running caller's local clock is flushed first, so the wake
+// happens at the caller's true current time.
 //
-// During a partitioned run the caller must be a process on the same node as
-// p: waking across nodes would couple partitions mid-window. The partitioned
-// programming model routes all cross-node interaction through the machine
-// layer's exchange operations instead.
-func (e *Engine) Unblock(p *Proc, delay int64) {
+// During a partitioned run the waker must be the running process of a node
+// that is p's: waking across nodes would couple partitions mid-window. The
+// partitioned programming model routes all cross-node interaction through
+// the machine layer's exchange operations instead. The check reads p's
+// partition state only once the waker is known to share that partition, so
+// a cross-partition call is refused without touching another goroutine's
+// state.
+func (e *Engine) Unblock(waker, p *Proc, delay int64) {
 	s := p.sd
-	if e.windowed && e.started {
-		r := s.running
-		if r == nil || r.Node != p.Node {
-			panic(fmt.Sprintf("sim: Unblock of proc %d %q (node %d) from another node during a partitioned run", p.ID, p.Name, p.Node))
-		}
+	if e.windowed && e.started && (waker == nil || waker.sd != s || waker.Node != p.Node || s.running != waker) {
+		panic(fmt.Sprintf("sim: Unblock of proc %d %q (node %d) from another node during a partitioned run", p.ID, p.Name, p.Node))
 	}
 	s.flushRunning()
 	if p.timedWait {

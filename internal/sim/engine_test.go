@@ -89,7 +89,7 @@ func TestBlockUnblock(t *testing.T) {
 	})
 	e.Spawn("waker", 0, func(p *Proc) {
 		p.Advance(500)
-		e.Unblock(waiter, 25)
+		e.Unblock(p, waiter, 25)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -202,7 +202,7 @@ func TestWaitQueueFIFO(t *testing.T) {
 	}
 	e.Spawn("waker", 0, func(p *Proc) {
 		p.Advance(10)
-		for q.WakeOne(e, 1) {
+		for q.WakeOne(p, 1) {
 			p.Advance(10)
 		}
 	})
@@ -229,7 +229,7 @@ func TestWaitQueueWakeAll(t *testing.T) {
 	}
 	e.Spawn("waker", 0, func(p *Proc) {
 		p.Advance(100)
-		if n := q.WakeAll(e, 0); n != 5 {
+		if n := q.WakeAll(p, 0); n != 5 {
 			t.Errorf("WakeAll woke %d, want 5", n)
 		}
 	})
@@ -258,7 +258,7 @@ func TestWaitQueueRemove(t *testing.T) {
 		if q.Remove(victim) {
 			t.Error("second Remove returned true")
 		}
-		e.Unblock(victim, 0) // wake it outside the queue
+		e.Unblock(p, victim, 0) // wake it outside the queue
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -123,7 +123,7 @@ func TestBlockTimeoutWokenEarly(t *testing.T) {
 	})
 	e.Spawn("poster", 1, func(p *Proc) {
 		p.Advance(40)
-		e.Unblock(waiter, 0)
+		e.Unblock(p, waiter, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -184,7 +184,7 @@ func TestWaitQueueSkipsKilledWaiters(t *testing.T) {
 		p.Advance(10)
 		e.Kill(dead)
 		p.Advance(10)
-		q.WakeOne(e, 0) // must pass over the killed head and wake the live waiter
+		q.WakeOne(p, 0) // must pass over the killed head and wake the live waiter
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

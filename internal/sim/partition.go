@@ -125,10 +125,7 @@ func (p *Proc) Exchange(fn func(issue int64) int64) {
 // services the window's exchanges at the barrier, and repeats until no
 // events remain anywhere.
 func (e *Engine) runWindows() {
-	window := e.lookahead
-	if window <= 0 {
-		window = 1
-	}
+	window := Lookahead
 	// Concurrent execution needs >1 partition and real parallelism to win;
 	// an attached probe forces sequential windows so the observed event
 	// stream is deterministic. Sequential execution is semantically

@@ -168,14 +168,21 @@ func TestPartitionedRestrictions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cross-node Unblock is rejected.
+	// Cross-node Unblock is rejected: from another partition (refused
+	// before that partition's state is read), from another node of the
+	// victim's own partition, and with no waker at all.
 	e3 := New()
 	e3.EnablePartitions(2, func(node int) int { return node % 2 })
 	var victim *Proc
 	victim = e3.Spawn("victim", 0, func(p *Proc) { p.Block("wait") })
 	e3.Spawn("waker", 1, func(p *Proc) {
 		p.Advance(1_000)
-		mustPanic("cross-node Unblock", func() { e3.Unblock(victim, 0) })
+		mustPanic("cross-partition Unblock", func() { e3.Unblock(p, victim, 0) })
+	})
+	e3.Spawn("neighbor", 2, func(p *Proc) {
+		p.Advance(1_000)
+		mustPanic("cross-node Unblock", func() { e3.Unblock(p, victim, 0) })
+		mustPanic("waker-less Unblock", func() { e3.Unblock(nil, victim, 0) })
 	})
 	var de *DeadlockError
 	if err := e3.Run(); !errors.As(err, &de) {
@@ -209,7 +216,7 @@ func TestSameNodeWaitQueuePartitioned(t *testing.T) {
 			})
 			e.Spawn("waker", node, func(p *Proc) {
 				p.Advance(int64(1_000 * (node + 1)))
-				q.WakeOne(e, 0)
+				q.WakeOne(p, 0)
 			})
 		}
 		if err := e.Run(); err != nil {

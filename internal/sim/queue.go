@@ -1,5 +1,11 @@
 package sim
 
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
 // WaitQueue is a FIFO queue of blocked processes. It is the building block
 // for every scheduler-based synchronization primitive in the Chrysalis layer
 // (events, dual queues) and for the higher-level packages.
@@ -48,9 +54,10 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d int64) (timedOut bool) {
 // WakeOne unblocks the longest-waiting live process, if any, after delay
 // nanoseconds of virtual time. Processes killed while waiting (their node
 // failed) are discarded silently. It reports whether a process was woken.
-// A running caller's local clock is flushed before the queue is examined.
-func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
-	q.flushWaker(e)
+// waker is the running process performing the wake (see Engine.Unblock);
+// its local clock is flushed before the queue is examined.
+func (q *WaitQueue) WakeOne(waker *Proc, delay int64) bool {
+	q.flushWaker(waker)
 	for len(q.procs) > 0 {
 		p := q.procs[0]
 		copy(q.procs, q.procs[1:])
@@ -58,7 +65,7 @@ func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
 		if p.killed {
 			continue
 		}
-		e.Unblock(p, delay)
+		waker.eng.Unblock(waker, p, delay)
 		return true
 	}
 	return false
@@ -66,34 +73,29 @@ func (q *WaitQueue) WakeOne(e *Engine, delay int64) bool {
 
 // WakeAll unblocks every live waiting process (in FIFO order, all at the same
 // virtual instant plus delay), discarding killed waiters. It returns the
-// number of processes woken. A running caller's local clock is flushed before
-// the queue is examined.
-func (q *WaitQueue) WakeAll(e *Engine, delay int64) int {
-	q.flushWaker(e)
+// number of processes woken. waker is the running process performing the
+// wake; its local clock is flushed before the queue is examined.
+func (q *WaitQueue) WakeAll(waker *Proc, delay int64) int {
+	q.flushWaker(waker)
 	n := 0
 	for _, p := range q.procs {
 		if p.killed {
 			continue
 		}
-		e.Unblock(p, delay)
+		waker.eng.Unblock(waker, p, delay)
 		n++
 	}
 	q.procs = q.procs[:0]
 	return n
 }
 
-// flushWaker flushes the running caller's lazy clock before a wake operation
-// examines the queue. On a classic engine the caller is the single running
-// process. On a partitioned engine wakes are same-node by contract (see
-// Engine.Unblock), so the caller is reached through the first waiter's
-// partition; an empty queue needs no flush, since there is nobody to wake.
-func (q *WaitQueue) flushWaker(e *Engine) {
-	if !e.windowed {
-		e.scheds[0].flushRunning()
-		return
-	}
-	if len(q.procs) > 0 {
-		q.procs[0].sd.flushRunning()
+// flushWaker flushes the waker's lazy clock before a wake examines the
+// queue. A partitioned run skips the flush when the queue is empty, since
+// there is nobody to wake; a classic run flushes regardless, and its
+// recorded fingerprints depend on that.
+func (q *WaitQueue) flushWaker(waker *Proc) {
+	if !waker.eng.windowed || len(q.procs) > 0 {
+		waker.sd.flushRunning()
 	}
 }
 
@@ -127,3 +129,24 @@ func Micros(ns int64) float64 { return float64(ns) / 1e3 }
 
 // Millis converts a virtual-time duration in nanoseconds to float milliseconds.
 func Millis(ns int64) float64 { return float64(ns) / 1e6 }
+
+// ParseDuration parses a virtual-time duration: a non-negative number with
+// an optional ns/us/ms/s suffix (no suffix means nanoseconds).
+func ParseDuration(s string) (int64, error) {
+	mult, num := Nanosecond, s
+	switch {
+	case strings.HasSuffix(s, "ns"):
+		num = s[:len(s)-2]
+	case strings.HasSuffix(s, "us"):
+		mult, num = Microsecond, s[:len(s)-2]
+	case strings.HasSuffix(s, "ms"):
+		mult, num = Millisecond, s[:len(s)-2]
+	case strings.HasSuffix(s, "s"):
+		mult, num = Second, s[:len(s)-1]
+	}
+	v, err := strconv.ParseFloat(num, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad duration %q", s)
+	}
+	return int64(v * float64(mult)), nil
+}

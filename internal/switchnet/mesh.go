@@ -56,9 +56,6 @@ func NewMesh(cfg Config) *MeshNet {
 // Name identifies the topology family.
 func (m *MeshNet) Name() Topology { return Mesh }
 
-// Width returns the mesh's column count.
-func (m *MeshNet) Width() int { return m.w }
-
 // Stages returns the diameter in hops: corner to corner.
 func (m *MeshNet) Stages() int { return (m.w - 1) + (m.h - 1) }
 

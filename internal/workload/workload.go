@@ -23,6 +23,8 @@ import (
 	"math/rand/v2"
 	"strconv"
 	"strings"
+
+	"butterfly/internal/sim"
 )
 
 // Pattern selects the arrival process.
@@ -223,34 +225,12 @@ func parseDur(arg func() (string, error), dst *int64) error {
 	if err != nil {
 		return err
 	}
-	v, err := ParseDuration(a)
+	v, err := sim.ParseDuration(a)
 	if err != nil {
-		return err
+		return fmt.Errorf("workload: %w", err)
 	}
 	*dst = v
 	return nil
-}
-
-// ParseDuration parses a virtual duration: a number with an optional
-// s/ms/us/ns suffix (no suffix means nanoseconds).
-func ParseDuration(s string) (int64, error) {
-	mult := int64(1)
-	num := s
-	switch {
-	case strings.HasSuffix(s, "ms"):
-		mult, num = 1_000_000, s[:len(s)-2]
-	case strings.HasSuffix(s, "us"):
-		mult, num = 1_000, s[:len(s)-2]
-	case strings.HasSuffix(s, "ns"):
-		mult, num = 1, s[:len(s)-2]
-	case strings.HasSuffix(s, "s"):
-		mult, num = 1_000_000_000, s[:len(s)-1]
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("workload: bad duration %q", s)
-	}
-	return int64(v * float64(mult)), nil
 }
 
 // pcgStream distinguishes the workload's PCG stream from other seeded

@@ -131,9 +131,9 @@ func TestParseDurationUnits(t *testing.T) {
 		"1s":    1_000_000_000,
 	}
 	for in, want := range cases {
-		got, err := ParseDuration(in)
-		if err != nil || got != want {
-			t.Errorf("ParseDuration(%q) = %d, %v; want %d", in, got, err, want)
+		c, err := Parse("duration "+in, Default())
+		if err != nil || c.DurationNs != want {
+			t.Errorf("duration %q parsed to %d, %v; want %d", in, c.DurationNs, err, want)
 		}
 	}
 }
