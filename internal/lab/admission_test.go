@@ -119,35 +119,65 @@ func TestRetryAfterHintColdStart(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHintClampEdges pins both clamp edges: a pool completing
-// jobs faster than one per second hints the 1s floor (never 0), and a pool
-// slower than one per 30s hints the 30s ceiling (never parks a client for
-// minutes).
+// TestRetryAfterHintClampEdges pins both clamp edges: a pool whose runs
+// take nanoseconds hints the 1s floor (never 0), and a pool whose runs take
+// hours hints the 30s ceiling (never parks a client for minutes).
 func TestRetryAfterHintClampEdges(t *testing.T) {
 	fast := NewScheduler(Config{Workers: 1})
 	t.Cleanup(func() { fast.Shutdown(context.Background()) })
-	fast.began = time.Now().Add(-10 * time.Millisecond)
-	fast.completed.Store(1_000_000) // ~10ns per slot: far below the floor
+	fast.rates.ran(10 * time.Nanosecond) // far below the floor
 	if got := fast.RetryAfterHint(); got != retryAfterMin {
 		t.Errorf("fast-pipeline hint = %v, want clamp to %v", got, retryAfterMin)
 	}
 
 	slow := NewScheduler(Config{Workers: 1})
 	t.Cleanup(func() { slow.Shutdown(context.Background()) })
-	slow.began = time.Now().Add(-2 * time.Hour)
-	slow.completed.Store(1) // one job in two hours: far above the ceiling
+	slow.rates.ran(2 * time.Hour) // a two-hour run: far above the ceiling
 	if got := slow.RetryAfterHint(); got != retryAfterMax {
 		t.Errorf("slow-pipeline hint = %v, want clamp to %v", got, retryAfterMax)
 	}
 
-	// A scheduler whose clock appears to have stepped backward (up <= 0)
-	// takes the cold-start path, not a negative division.
+	// A run whose clock appears to have stepped backward (finished before
+	// it started) clamps to the floor, not a negative wait.
 	stepped := NewScheduler(Config{Workers: 1})
 	t.Cleanup(func() { stepped.Shutdown(context.Background()) })
-	stepped.began = time.Now().Add(time.Hour)
-	stepped.completed.Store(50)
+	stepped.rates.ran(-time.Hour)
 	if got := stepped.RetryAfterHint(); got < retryAfterMin || got > retryAfterMax {
 		t.Errorf("clock-step hint %v escapes the clamp", got)
+	}
+}
+
+// TestRatesIgnoreIdleTime: a pool that ran jobs and then sat idle for an
+// hour is no slower for it. The Retry-After hint must not grow across the
+// idle hour, and jobs_per_sec must fall to zero rather than average the
+// busy minute over the whole uptime.
+func TestRatesIgnoreIdleTime(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
+	s := NewScheduler(Config{Workers: 2})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	s.clock = clock.now
+	s.began = clock.now()
+
+	// A busy minute: both workers finish a 4 s job every 4 s.
+	for range 30 {
+		clock.advance(2 * time.Second)
+		s.rates.ran(4 * time.Second)
+		s.rates.done(clock.now())
+	}
+	busyHint := s.RetryAfterHint()
+	if busyHint != 2*time.Second {
+		t.Errorf("busy hint = %v, want 4 s runs over 2 workers = 2s", busyHint)
+	}
+	if got := s.Metrics().JobsPerSec; got != 0.5 {
+		t.Errorf("busy jobs_per_sec = %v, want 0.5", got)
+	}
+
+	clock.advance(time.Hour)
+	if got := s.RetryAfterHint(); got > busyHint {
+		t.Errorf("hint grew from %v to %v across an idle hour", busyHint, got)
+	}
+	if got := s.Metrics().JobsPerSec; got != 0 {
+		t.Errorf("jobs_per_sec after an idle hour = %v, want 0", got)
 	}
 }
 

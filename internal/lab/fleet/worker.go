@@ -69,10 +69,11 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	// A missed heartbeat is retried by the next tick, not by backoff: one
-	// bounded attempt per tick keeps the cadence honest while the
-	// coordinator is down, and the first beat a restarted coordinator
-	// receives re-admits this worker.
+	// A missed heartbeat is retried by the next tick, not by backoff: each
+	// tick walks the coordinator list at most once, one bounded attempt per
+	// candidate, which keeps the cadence honest while every coordinator is
+	// down, and the first beat a restarted coordinator receives re-admits
+	// this worker.
 	w := &Worker{
 		cfg:    cfg,
 		hc:     &http.Client{Timeout: 2 * time.Second},
@@ -162,10 +163,14 @@ func (w *Worker) Stop() {
 }
 
 // beat sends one heartbeat and folds the ack's membership into the local
-// ring. Failure rotates to the next coordinator on the failover list (a
-// standby that took over answers there) and is otherwise forgotten: the
-// next tick tries again, and the first beat a restarted — or newly
-// promoted — coordinator receives re-admits this worker.
+// ring. A connection failure moves on to the next coordinator on the
+// failover list within the same beat, so a worker whose primary died
+// reaches the standby that took over on its next tick, not after walking
+// the list one tick per candidate. An answer that is not an ack (a standby
+// not yet promoted) rotates to the next candidate for the next tick. Any
+// other failure is forgotten: the next tick tries again, and the first
+// beat a restarted — or newly promoted — coordinator receives re-admits
+// this worker.
 func (w *Worker) beat() {
 	arrival := w.lastAck.Load() == 0
 	body, _ := json.Marshal(core.HeartbeatRequest{
@@ -174,29 +179,32 @@ func (w *Worker) beat() {
 		PeerHits:  w.peerHits.Load(),
 		Simulated: w.simulated.Load(),
 	})
-	coord := w.coordinator()
-	resp, err := w.hc.Post(coord+"/fleet/heartbeat", "application/json", bytes.NewReader(body))
-	if err != nil {
-		next := w.advanceCoordinator()
-		if next != coord {
+	for range len(w.coordinators()) {
+		coord := w.coordinator()
+		resp, err := w.hc.Post(coord+"/fleet/heartbeat", "application/json", bytes.NewReader(body))
+		if err != nil {
+			next := w.advanceCoordinator()
+			if next == coord {
+				w.cfg.Logf("fleet: heartbeat failed coordinator=%s err=%v", coord, err)
+				return
+			}
 			w.cfg.Logf("fleet: heartbeat failed coordinator=%s err=%v — failing over to %s", coord, err, next)
-		} else {
-			w.cfg.Logf("fleet: heartbeat failed coordinator=%s err=%v", coord, err)
+			continue
+		}
+		view, err := decodeView(resp)
+		if err != nil {
+			// An HTTP answer that is not a valid ack: the endpoint is alive
+			// but not (yet) a coordinator — a standby still waiting to
+			// promote. Rotate so the next tick tries another candidate.
+			w.advanceCoordinator()
+			w.cfg.Logf("fleet: heartbeat ack unreadable coordinator=%s err=%v", coord, err)
+			return
+		}
+		w.acceptView(coord, view)
+		if arrival {
+			w.cfg.Logf("fleet: joined coordinator=%s ring=%d epoch=%d", coord, len(view.Workers), view.Epoch)
 		}
 		return
-	}
-	view, err := decodeView(resp)
-	if err != nil {
-		// An HTTP answer that is not a valid ack: the endpoint is alive but
-		// not (yet) a coordinator — a standby still waiting to promote.
-		// Rotate so the next tick tries another candidate.
-		w.advanceCoordinator()
-		w.cfg.Logf("fleet: heartbeat ack unreadable coordinator=%s err=%v", coord, err)
-		return
-	}
-	w.acceptView(coord, view)
-	if arrival {
-		w.cfg.Logf("fleet: joined coordinator=%s ring=%d epoch=%d", coord, len(view.Workers), view.Epoch)
 	}
 }
 

@@ -38,16 +38,24 @@ var ErrReplicaGap = errors.New("lab: replica record gap")
 // job table the scheduler uses to recover: terminal jobs are restored,
 // mid-flight jobs are requeued.
 //
-// Durability model: every record is a single buffered write of one JSON
-// line; terminal records (completed/failed/canceled) are additionally
-// fsynced, so an acknowledged result can never be lost to a crash. A torn
-// final line (the process died mid-append) is tolerated and dropped on
-// replay — the affected job simply replays from its previous state and is
-// requeued, which is safe because execution is deterministic and
-// idempotent. Any corruption *before* the final record means the file was
-// damaged at rest, and replay fails loudly instead of guessing.
+// Durability model: appending a record only writes its JSON line; no
+// append waits for the disk. Durability is one watermark, "every record
+// through N is on disk", which AwaitDurable waits on. The first waiter
+// that finds no fsync in progress issues one, outside the journal's lock,
+// and each fsync covers every record written before it began, so
+// concurrent waiters share it (group commit) and a record nobody waits for
+// costs no fsync of its own. Compaction moves the watermark too, once its
+// snapshot and the directory entry naming it are on disk. Whoever tells a
+// client about a record awaits the watermark first:
+// the server before every answer, Finished and BumpEpoch before they
+// return. A torn final line (the process died mid-append) is tolerated and
+// dropped on replay — the affected job simply replays from its previous
+// state and is requeued, which is safe because execution is deterministic
+// and idempotent. Any corruption *before* the final record means the file
+// was damaged at rest, and replay fails loudly instead of guessing.
 type Journal struct {
 	dir string
+	fs  journalFS
 
 	// CompactEvery is how many appended records accumulate before the
 	// journal folds them into the snapshot and truncates the log file
@@ -61,9 +69,10 @@ type Journal struct {
 	TailMax int
 
 	mu      sync.Mutex
-	f       *os.File
-	rec     int64 // last record number written (survives compaction)
-	appends int   // records since the last compaction
+	f       logFile
+	rec     int64  // last record number written (survives compaction)
+	written uint64 // records this process wrote
+	appends int    // records since the last compaction
 	state   map[string]*core.JobRecord
 	order   []string // job IDs by submission order
 	maxSeq  int
@@ -86,6 +95,59 @@ type Journal struct {
 	// replacement coordinator can reassemble sweeps it never accepted.
 	sweeps     map[string]core.SweepRecord
 	sweepOrder []string
+
+	// The durability watermark: every record through durable is on disk.
+	// syncing is set while one waiter fsyncs the log for all of them.
+	// synced is closed, and replaced, each time that fsync ends or the
+	// journal closes, waking every AwaitDurable caller at once. syncErr is
+	// sticky: after a failed fsync the kernel may have dropped the pages,
+	// so nothing past durable can be promised again, and the journal
+	// refuses new records.
+	durable int64
+	syncing bool
+	synced  chan struct{}
+	syncErr error
+	syncs   uint64 // fsyncs issued: log, snapshot, and directory syncs
+}
+
+// ErrJournalSync wraps the sticky error of a failed journal fsync.
+var ErrJournalSync = errors.New("lab: journal sync failed")
+
+// journalFS is the file system as the journal's durability rests on it:
+// the log it appends to, and the directory sync that makes a renamed
+// snapshot, and the log's own name, survive a power loss. osFS in
+// production; tests substitute one that loses what was not synced.
+type journalFS interface {
+	// openLog truncates (creating if needed) the log at path and opens it
+	// for appending.
+	openLog(path string) (logFile, error)
+	syncDir(dir string) error
+}
+
+// logFile is the journal's log as the journal uses it: an *os.File in
+// production.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+type osFS struct{}
+
+func (osFS) openLog(path string) (logFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 func (j *Journal) snapshotPath() string { return filepath.Join(j.dir, "snapshot.json") }
@@ -97,6 +159,11 @@ func (j *Journal) logPath() string      { return filepath.Join(j.dir, "journal.j
 // corrupt record anywhere but the torn tail is a hard error: the caller
 // should refuse to start rather than silently forget jobs.
 func OpenJournal(dir string) (*Journal, error) {
+	return openJournal(dir, osFS{})
+}
+
+// openJournal is OpenJournal on the file system fs.
+func openJournal(dir string, fs journalFS) (*Journal, error) {
 	if dir == "" {
 		dir = DefaultJournalDir
 	}
@@ -104,10 +171,11 @@ func OpenJournal(dir string) (*Journal, error) {
 		return nil, fmt.Errorf("lab: journal: %w", err)
 	}
 	j := &Journal{
-		dir: dir, CompactEvery: 4096, TailMax: 4096,
+		dir: dir, fs: fs, CompactEvery: 4096, TailMax: 4096,
 		state:  make(map[string]*core.JobRecord),
 		sweeps: make(map[string]core.SweepRecord),
 		grew:   make(chan struct{}),
+		synced: make(chan struct{}),
 	}
 
 	if err := j.loadSnapshot(); err != nil {
@@ -116,6 +184,13 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err := j.replayLog(); err != nil {
 		return nil, err
 	}
+	// The log exists before the first compaction, so that compaction's
+	// directory sync also makes the log's name durable.
+	f, err := os.OpenFile(j.logPath(), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("lab: journal: %w", err)
+	}
+	f.Close()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// Compacting on open folds the replayed tail into the snapshot and
@@ -292,32 +367,39 @@ func (j *Journal) Jobs() []core.JobRecord {
 	return out
 }
 
-// append numbers and commits one record of this process's own. Two rules
-// bind only local writes, because a replicated stream may legitimately
-// carry what they forbid: an epoch fence must rise, and a sweep ID must be
-// new.
-func (j *Journal) append(r core.JournalRecord) error {
+// append numbers and writes one record of this process's own, and returns
+// its record number; it does not wait for the disk. Two rules bind only
+// local writes, because a replicated stream may legitimately carry what
+// they forbid: an epoch fence must rise, and a sweep ID must be new. After
+// a failed fsync it refuses every record with the sync error: nothing it
+// wrote could be promised durable.
+func (j *Journal) append(r core.JournalRecord) (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.syncErr != nil {
+		return 0, j.syncErr
+	}
 	if r.Event == core.EventEpoch && r.Epoch <= j.epoch {
-		return fmt.Errorf("lab: journal: epoch %d not above current %d", r.Epoch, j.epoch)
+		return 0, fmt.Errorf("lab: journal: epoch %d not above current %d", r.Epoch, j.epoch)
 	}
 	if r.Event == core.EventSweep && r.Sweep != nil {
 		if _, dup := j.sweeps[r.Sweep.SweepID]; dup {
-			return fmt.Errorf("lab: journal: duplicate sweep %s", r.Sweep.SweepID)
+			return 0, fmt.Errorf("lab: journal: duplicate sweep %s", r.Sweep.SweepID)
 		}
 	}
 	r.Rec = j.rec + 1
 	r.UnixMs = time.Now().UnixMilli()
-	return j.commitLocked(r)
+	return r.Rec, j.commitLocked(r)
 }
 
 // commitLocked is the journal's one write path, shared by local appends and
-// replicated ones: stage the record, write its line, fsync it if it must
-// survive a crash, fold it into the tables, publish it to the replication
-// tail, and compact when due. The tables change only after the line is
-// handed to the OS, so a refused record or a failed write leaves the
-// journal's view consistent with the file.
+// replicated ones: stage the record, write its line, fold it into the
+// tables, publish it to the replication tail, and compact when due. It
+// never fsyncs the log — AwaitDurable does that, outside j.mu, for whoever
+// waits on the watermark — so no writer waits on the disk while holding
+// the journal's lock. The tables change only after the line is handed to the
+// OS, so a refused record or a failed write leaves the journal's view
+// consistent with the file.
 func (j *Journal) commitLocked(r core.JournalRecord) error {
 	if j.f == nil {
 		return ErrJournalClosed
@@ -333,20 +415,117 @@ func (j *Journal) commitLocked(r core.JournalRecord) error {
 	if _, err := j.f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("lab: journal append: %w", err)
 	}
-	if r.Event.Terminal() || r.Event == core.EventEpoch {
-		// A job's outcome must survive a crash the instant it is
-		// acknowledged, and an epoch fence must be durable before the new
-		// coordinator dispatches anything; transient records may ride the
-		// page cache.
-		_ = j.f.Sync()
-	}
 	j.applyLocked(r, staged)
 	j.pushTail(r)
+	j.written++
 	j.appends++
 	if j.CompactEvery > 0 && j.appends >= j.CompactEvery {
 		return j.compactLocked()
 	}
 	return nil
+}
+
+// AwaitDurable blocks until every record through rec is on disk, and
+// returns nil then. It returns early with ctx's error, with the sync error
+// once an fsync has failed, or with ErrJournalClosed when the journal
+// closed before covering rec. Waiters share fsyncs (group commit): the
+// first one to find no fsync in progress issues one for all, and each
+// covers every record written before it began, so K concurrent waiters
+// cost one or two fsyncs between them, not K. The waiter that issues an
+// fsync sees ctx only once the fsync ends.
+func (j *Journal) AwaitDurable(ctx context.Context, rec int64) error {
+	j.mu.Lock()
+	for {
+		var err error
+		switch {
+		case rec <= j.durable:
+		case j.syncErr != nil:
+			err = j.syncErr
+		case j.f == nil:
+			err = ErrJournalClosed
+		case !j.syncing:
+			j.syncLocked()
+			continue
+		default:
+			synced := j.synced
+			j.mu.Unlock()
+			select {
+			case <-synced:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			j.mu.Lock()
+			continue
+		}
+		j.mu.Unlock()
+		return err
+	}
+}
+
+// syncLocked fsyncs the log for every waiter: it releases j.mu for the
+// fsync, so appends go on while the disk works, then advances the
+// watermark to the last record written before the fsync began and wakes
+// every waiter. Callers hold j.mu, and find syncing false.
+func (j *Journal) syncLocked() {
+	j.syncing = true
+	f, target := j.f, j.rec
+	j.mu.Unlock()
+	err := f.Sync()
+	j.mu.Lock()
+	j.syncing = false
+	j.syncs++
+	switch {
+	case j.f != f:
+		// Compaction replaced the log while this fsync ran, and its
+		// snapshot, already durable, holds target.
+	case err != nil:
+		j.syncErr = fmt.Errorf("%w: %w", ErrJournalSync, err)
+	default:
+		j.durable = max(j.durable, target)
+	}
+	j.wakeLocked()
+}
+
+// wakeLocked wakes every AwaitDurable caller to re-read the watermark.
+// Callers hold j.mu.
+func (j *Journal) wakeLocked() {
+	close(j.synced)
+	j.synced = make(chan struct{})
+}
+
+// JournalStats are the journal's durability gauges. Records is how many
+// records this process wrote and Syncs how many fsyncs it issued (log,
+// snapshot, and directory syncs); Records over Syncs is the group commit's
+// yield. DurableLagRecs is the records written but not yet on disk: what a
+// power loss now would lose. The journal fsyncs only when an answer waits,
+// so a standing lag is normal, not a disk falling behind: a started
+// record, and a terminal record no client has asked about yet, stay in it
+// until the next awaited fsync or compaction (every CompactEvery records).
+// SyncError is the sticky error of a failed fsync, after which the journal
+// takes no new records and the server reports not ready.
+type JournalStats struct {
+	Syncs          uint64 `json:"syncs"`
+	Records        uint64 `json:"records"`
+	DurableLagRecs int64  `json:"durable_lag_recs"`
+	SyncError      string `json:"sync_error,omitempty"`
+}
+
+// Stats snapshots the journal's durability gauges.
+func (j *Journal) Stats() JournalStats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := JournalStats{Syncs: j.syncs, Records: j.written, DurableLagRecs: j.rec - j.durable}
+	if j.syncErr != nil {
+		st.SyncError = j.syncErr.Error()
+	}
+	return st
+}
+
+// Err returns the sticky error of a failed fsync, or nil.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncErr
 }
 
 // pushTail keeps the bounded in-memory record tail replication streams
@@ -367,18 +546,39 @@ func (j *Journal) pushTail(r core.JournalRecord) {
 	j.grew = make(chan struct{})
 }
 
-// Submitted journals a new job, durably, before it is enqueued.
+// Submitted journals a new job before it is enqueued. It returns once the
+// record is written; the answer that acknowledges the job awaits its
+// durability (AwaitDurable).
 func (j *Journal) Submitted(id string, seq int, spec core.Spec, fp string) error {
+	_, err := j.submitted(id, seq, spec, fp)
+	return err
+}
+
+// submitted is Submitted returning the record's number.
+func (j *Journal) submitted(id string, seq int, spec core.Spec, fp string) (int64, error) {
 	return j.append(core.JournalRecord{Event: core.EventSubmitted, JobID: id, Seq: seq, Spec: &spec, Fingerprint: fp})
 }
 
 // Started journals a job leaving the queue for a worker.
 func (j *Journal) Started(id string) error {
-	return j.append(core.JournalRecord{Event: core.EventStarted, JobID: id})
+	_, err := j.append(core.JournalRecord{Event: core.EventStarted, JobID: id})
+	return err
 }
 
-// Finished journals a job reaching a terminal state.
+// Finished journals a job reaching a terminal state and returns once the
+// record is on disk.
 func (j *Journal) Finished(id string, st core.JobState, errText string) error {
+	rec, err := j.finished(id, st, errText)
+	if err != nil {
+		return err
+	}
+	return j.AwaitDurable(context.Background(), rec)
+}
+
+// finished writes a job's terminal record without waiting for the disk and
+// returns its record number: the scheduler's path, so a worker takes its
+// next job while the record's fsync is still ahead.
+func (j *Journal) finished(id string, st core.JobState, errText string) (int64, error) {
 	var ev core.JournalEvent
 	switch st {
 	case core.JobDone:
@@ -388,7 +588,7 @@ func (j *Journal) Finished(id string, st core.JobState, errText string) error {
 	case core.JobCanceled:
 		ev = core.EventCanceled
 	default:
-		return fmt.Errorf("lab: journal: Finished with non-terminal state %q", st)
+		return 0, fmt.Errorf("lab: journal: Finished with non-terminal state %q", st)
 	}
 	return j.append(core.JournalRecord{Event: ev, JobID: id, Error: errText})
 }
@@ -396,14 +596,18 @@ func (j *Journal) Finished(id string, st core.JobState, errText string) error {
 // Interrupted journals a recovery requeue: the job was mid-flight (or done
 // but uncached) when the previous process died.
 func (j *Journal) Interrupted(id string) error {
-	return j.append(core.JournalRecord{Event: core.EventInterrupted, JobID: id})
+	_, err := j.append(core.JournalRecord{Event: core.EventInterrupted, JobID: id})
+	return err
 }
 
 // SweepSubmitted journals a sweep's identity: its ID and grid-ordered job
-// IDs, durably tied to the jobs it expanded to.
+// IDs, tied to the jobs it expanded to. Like Submitted, it returns once the
+// record is written, and the answer that acknowledges the sweep awaits its
+// durability.
 func (j *Journal) SweepSubmitted(id string, jobIDs []string) error {
-	return j.append(core.JournalRecord{Event: core.EventSweep,
+	_, err := j.append(core.JournalRecord{Event: core.EventSweep,
 		Sweep: &core.SweepRecord{SweepID: id, JobIDs: jobIDs}})
+	return err
 }
 
 // Sweeps returns every known sweep identity in submission order.
@@ -433,7 +637,11 @@ func (j *Journal) BumpEpoch() (uint64, error) {
 	j.mu.Lock()
 	next := j.epoch + 1
 	j.mu.Unlock()
-	if err := j.append(core.JournalRecord{Event: core.EventEpoch, Epoch: next}); err != nil {
+	rec, err := j.append(core.JournalRecord{Event: core.EventEpoch, Epoch: next})
+	if err == nil {
+		err = j.AwaitDurable(context.Background(), rec)
+	}
+	if err != nil {
 		return 0, err
 	}
 	return next, nil
@@ -577,12 +785,16 @@ func (j *Journal) AppendReplica(r core.JournalRecord) error {
 }
 
 // compactLocked folds the state image into snapshot.json (atomically, via
-// temp file + rename) and truncates the log. A crash between the two steps
-// is safe: the snapshot's record number makes the leftover log lines
-// no-ops on the next replay.
+// temp file + fsync + rename), fsyncs the directory so the rename itself
+// survives a power loss, and only then truncates the log. A crash anywhere
+// in between is safe: until the directory sync the old snapshot and the
+// whole log still hold every record, and after it the snapshot's record
+// number makes any leftover log lines no-ops on the next replay. The
+// durable snapshot holds every record written, so it advances the
+// durability watermark to j.rec. Its two fsyncs are the only ones the
+// journal issues under j.mu, once every CompactEvery records.
 func (j *Journal) compactLocked() error {
 	b, err := json.MarshalIndent(j.stateLocked(), "", "  ")
-
 	if err != nil {
 		return fmt.Errorf("lab: journal compact: %w", err)
 	}
@@ -593,6 +805,7 @@ func (j *Journal) compactLocked() error {
 	_, werr := tmp.Write(append(b, '\n'))
 	serr := tmp.Sync()
 	cerr := tmp.Close()
+	j.syncs++
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lab: journal compact: %w", errors.Join(werr, serr, cerr))
@@ -601,10 +814,21 @@ func (j *Journal) compactLocked() error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lab: journal compact: %w", err)
 	}
+	err = j.fs.syncDir(j.dir)
+	j.syncs++
+	if err != nil {
+		// The log is left whole, so it still holds every record whichever
+		// snapshot a crash brings back.
+		return fmt.Errorf("lab: journal compact: %w", err)
+	}
+	if j.rec > j.durable {
+		j.durable = j.rec
+		j.wakeLocked()
+	}
 	if j.f != nil {
 		j.f.Close()
 	}
-	f, err := os.OpenFile(j.logPath(), os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
+	f, err := j.fs.openLog(j.logPath())
 	if err != nil {
 		j.f = nil
 		return fmt.Errorf("lab: journal compact: %w", err)
@@ -614,8 +838,10 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// Close compacts one last time (a clean shutdown leaves only a snapshot)
-// and releases the log file. Further appends return ErrJournalClosed.
+// Close compacts one last time (a clean shutdown leaves only a snapshot),
+// releases the log file, and wakes every AwaitDurable caller. Further
+// appends return ErrJournalClosed, and so does AwaitDurable for a record
+// the final snapshot does not hold.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -627,5 +853,6 @@ func (j *Journal) Close() error {
 		j.f.Close()
 		j.f = nil
 	}
+	j.wakeLocked()
 	return err
 }

@@ -52,6 +52,12 @@ type Job struct {
 	state State
 	res   *core.Result
 	err   error
+	// rec is the journal record the job's reported state rests on: its
+	// submission until it finishes, then its terminal record. An answer
+	// about the job awaits it (Server). A started record is never awaited:
+	// a running job that a crash returns to the queue loses nothing it was
+	// promised.
+	rec int64
 	// cancel ends the context a running job executes under; runJob sets it
 	// in the same critical section that makes the job running, so a Cancel
 	// either finds the job queued or finds cancel set.
@@ -139,17 +145,21 @@ func (j *Job) dequeueLocked() {
 	}
 }
 
-// finishLocked moves the job to a final state. Callers hold j.mu.
+// finishLocked moves the job to a final state and writes its terminal
+// record, without waiting for the disk: the answer that reports the
+// outcome awaits the journal's durability watermark, outside every lock
+// (see Server), so a worker holding j.mu never waits on an fsync. Callers
+// hold j.mu.
 func (j *Job) finishLocked(st State, res *core.Result, err error) {
 	if j.state.Terminal() {
 		return
 	}
+	s := j.sched
 	j.state = st
 	j.res = res
 	j.err = err
-	j.finished = time.Now()
+	j.finished = s.clock()
 	close(j.done)
-	s := j.sched
 	switch st {
 	case StateDone:
 		s.completed.Add(1)
@@ -158,17 +168,24 @@ func (j *Job) finishLocked(st State, res *core.Result, err error) {
 	case StateCanceled:
 		s.canceled.Add(1)
 	}
-	// Journal the outcome durably (fsynced) the moment it becomes
-	// observable. During recovery the journal already holds the terminal
-	// record being restored, so nothing is re-appended. A journal write
+	// During recovery the journal already holds the terminal record being
+	// restored, so nothing is re-appended or counted. A journal write
 	// failure here is deliberately non-fatal: the result stands, and at
 	// worst a restart re-executes the job — idempotent by construction.
-	if s.journal != nil && !s.recovering {
+	if s.recovering {
+		return
+	}
+	if st == StateDone {
+		s.rates.done(j.finished)
+	}
+	if s.journal != nil {
 		msg := ""
 		if err != nil {
 			msg = err.Error()
 		}
-		_ = s.journal.Finished(j.ID, st, msg)
+		if rec, err := s.journal.finished(j.ID, st, msg); err == nil {
+			j.rec = rec
+		}
 	}
 }
 
@@ -185,7 +202,9 @@ type Config struct {
 	Cache *Cache
 	// Journal, when non-nil, makes the scheduler durable: submissions are
 	// journaled before they are enqueued, lifecycle transitions are
-	// appended as they happen, and NewScheduler replays the journal —
+	// appended as they happen (the Server's answers await their
+	// durability; the scheduler itself never waits on the disk), and
+	// NewScheduler replays the journal —
 	// restoring terminal jobs (done jobs re-bind their cached results) and
 	// requeuing everything the previous process left mid-flight.
 	Journal *Journal
@@ -237,6 +256,10 @@ type Scheduler struct {
 	recov   RecoveryStats
 	wg      sync.WaitGroup
 	began   time.Time
+	// clock reads the time for began, job start and finish times, and the
+	// rate window; tests inject one.
+	clock func() time.Time
+	rates rateWindow
 
 	// recovering is true only inside NewScheduler's single-threaded
 	// replay, before any worker or submitter exists; finishLocked checks
@@ -287,10 +310,11 @@ func NewScheduler(cfg Config) *Scheduler {
 		workers: workers,
 		cache:   cfg.Cache,
 		journal: cfg.Journal,
-		began:   time.Now(),
+		clock:   time.Now,
 		jobs:    make(map[string]*Job),
 		sweeps:  make(map[string]core.SweepRecord),
 	}
+	s.began = s.clock()
 	var requeue []*Job
 	if s.journal != nil {
 		requeue = s.replayJournal()
@@ -390,6 +414,23 @@ func (s *Scheduler) replaySweeps() {
 // (zero-valued without a journal).
 func (s *Scheduler) Recovery() RecoveryStats { return s.recov }
 
+// journalRec is the last journal record written, or 0 without a journal.
+func (s *Scheduler) journalRec() int64 {
+	if s.journal == nil {
+		return 0
+	}
+	return s.journal.Rec()
+}
+
+// journalErr is the journal's sticky sync error, or nil (also without a
+// journal).
+func (s *Scheduler) journalErr() error {
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.Err()
+}
+
 // Cache returns the scheduler's cache, or nil.
 func (s *Scheduler) Cache() *Cache { return s.cache }
 
@@ -419,7 +460,7 @@ func (s *Scheduler) runJob(j *Job) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	j.cancel = cancel
-	j.started = time.Now()
+	j.started = s.clock()
 	if s.journal != nil {
 		// Best-effort: if the append fails the job still runs; a restart
 		// would requeue it from "queued", which is harmlessly idempotent.
@@ -475,6 +516,7 @@ func (s *Scheduler) runJob(j *Job) {
 	default:
 		j.finishLocked(StateFailed, nil, err)
 	}
+	s.rates.ran(j.finished.Sub(j.started))
 }
 
 // Submit validates and enqueues a spec. A cache hit finishes the job
@@ -518,22 +560,25 @@ func (s *Scheduler) Submit(spec core.Spec) (*Job, error) {
 	s.order = append(s.order, j.ID)
 	s.submitted.Add(1)
 	if s.journal != nil {
-		// Write-ahead: the job is durable before it is runnable, so a crash
-		// between acknowledgment and execution loses nothing. If the
-		// journal cannot accept it, neither does the scheduler — a durable
-		// service must not take work it would forget.
-		if err := s.journal.Submitted(j.ID, j.seq, spec, fp); err != nil {
+		// Write-ahead: the job is journaled before it is runnable, and the
+		// answer that acknowledges it waits until the record is on disk,
+		// so a crash between acknowledgment and execution loses nothing.
+		// If the journal cannot accept it, neither does the scheduler — a
+		// durable service must not take work it would forget.
+		rec, err := s.journal.submitted(j.ID, j.seq, spec, fp)
+		if err != nil {
 			delete(s.jobs, j.ID)
 			s.order = s.order[:len(s.order)-1]
 			s.submitted.Add(^uint64(0))
 			s.mu.Unlock()
 			return nil, fmt.Errorf("lab: journal submission: %w", err)
 		}
+		j.rec = rec
 	}
 	if hit != nil {
-		// The hit's terminal record is fsynced outside s.mu, so it stalls
-		// no other client's Lookup or Submit. Its Submitted record is
-		// already written, so the journal still orders the two.
+		// The hit finishes outside s.mu, under its own j.mu only. Its
+		// Submitted record is already written, so the journal still orders
+		// the two.
 		s.mu.Unlock()
 		j.mu.Lock()
 		j.finishLocked(StateDone, hit, nil)
@@ -636,18 +681,22 @@ func (c *seqCounts) prefix(i int) int {
 
 // Metrics is a point-in-time snapshot of scheduler health.
 type Metrics struct {
-	Workers      int        `json:"workers"`
-	Busy         int        `json:"busy"`
-	QueueDepth   int        `json:"queue_depth"`
-	QueueCap     int        `json:"queue_cap"`
-	Submitted    uint64     `json:"submitted"`
-	Completed    uint64     `json:"completed"`
-	Failed       uint64     `json:"failed"`
-	Canceled     uint64     `json:"canceled"`
+	Workers    int    `json:"workers"`
+	Busy       int    `json:"busy"`
+	QueueDepth int    `json:"queue_depth"`
+	QueueCap   int    `json:"queue_cap"`
+	Submitted  uint64 `json:"submitted"`
+	Completed  uint64 `json:"completed"`
+	Failed     uint64 `json:"failed"`
+	Canceled   uint64 `json:"canceled"`
+	// JobsPerSec is the rate jobs finished done over the last minute
+	// (over the uptime, in a daemon's first minute).
 	JobsPerSec   float64    `json:"jobs_per_sec"`
 	UptimeMs     int64      `json:"uptime_ms"`
 	Cache        CacheStats `json:"cache"`
 	CacheHitRate float64    `json:"cache_hit_rate"`
+	// Journal carries the journal's durability gauges; absent without one.
+	Journal *JournalStats `json:"journal,omitempty"`
 	// Fleet carries the role-specific fleet gauges (core.FleetMetrics on a
 	// coordinator, core.WorkerMetrics on a worker) when butterflyd runs as
 	// part of a fleet; absent on a single-box daemon.
@@ -657,7 +706,8 @@ type Metrics struct {
 // Metrics snapshots queue depth, worker utilization, throughput, and cache
 // traffic.
 func (s *Scheduler) Metrics() Metrics {
-	up := time.Since(s.began)
+	now := s.clock()
+	up := now.Sub(s.began)
 	m := Metrics{
 		Workers:    s.workers,
 		Busy:       int(s.busy.Load()),
@@ -668,13 +718,15 @@ func (s *Scheduler) Metrics() Metrics {
 		Failed:     s.failed.Load(),
 		Canceled:   s.canceled.Load(),
 		UptimeMs:   up.Milliseconds(),
-	}
-	if up > 0 {
-		m.JobsPerSec = float64(m.Completed) / up.Seconds()
+		JobsPerSec: s.rates.perSec(now, up),
 	}
 	if s.cache != nil {
 		m.Cache = s.cache.Stats()
 		m.CacheHitRate = m.Cache.HitRate()
+	}
+	if s.journal != nil {
+		st := s.journal.Stats()
+		m.Journal = &st
 	}
 	return m
 }
@@ -687,18 +739,96 @@ const (
 )
 
 // RetryAfterHint estimates how long a turned-away client should wait before
-// resubmitting: roughly the time for one queue slot to free at the pool's
-// observed completion rate, clamped to [1s, 30s]. With zero observed
-// throughput — cold start, or the first job still running — there is no
-// rate to divide by, so the hint falls back to a flat 2 seconds instead of
-// dividing by zero or emitting a 0s (retry-immediately) header.
+// resubmitting: roughly the time for one queue slot to free, clamped to
+// [1s, 30s]. The queue is full only while every worker is busy, and then a
+// slot frees every mean run time over the pool size; the mean is over the
+// last heldRuns jobs the workers ran, so time the pool sat idle never
+// lengthens it. Before any job has run there is no run time to divide, so
+// the hint falls back to a flat 2 seconds instead of emitting a 0s
+// (retry-immediately) header.
 func (s *Scheduler) RetryAfterHint() time.Duration {
-	completed := s.completed.Load()
-	up := time.Since(s.began)
-	if completed == 0 || up <= 0 {
+	held, ok := s.rates.meanHeld()
+	if !ok {
 		return clampRetryAfter(2 * time.Second)
 	}
-	return clampRetryAfter(up / time.Duration(completed))
+	return clampRetryAfter(held / time.Duration(s.workers))
+}
+
+// Rate window sizes: jobs_per_sec counts the last rateSpan seconds, and
+// the Retry-After hint averages the last heldRuns runs.
+const (
+	rateSpan = 60
+	heldRuns = 64
+)
+
+// rateWindow is the scheduler's recent throughput. Completions are
+// counted in one-second buckets over the last rateSpan seconds, and the
+// time a worker held each of the last heldRuns jobs it ran is kept in a
+// ring, so neither /metrics nor Retry-After reads a pool that sat idle as
+// a slow one. Its lock is a leaf, taken under j.mu.
+type rateWindow struct {
+	mu    sync.Mutex
+	count [rateSpan]uint64 // jobs finished done in second sec[i]
+	sec   [rateSpan]int64  // Unix second count[i] counts
+
+	held    [heldRuns]time.Duration
+	heldN   int // runs ever recorded
+	heldSum time.Duration
+}
+
+// done counts a job finishing done at t.
+func (w *rateWindow) done(t time.Time) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	sec := t.Unix()
+	i := sec % rateSpan
+	if w.sec[i] != sec {
+		w.sec[i], w.count[i] = sec, 0
+	}
+	w.count[i]++
+}
+
+// ran records how long a worker held one job.
+func (w *rateWindow) ran(d time.Duration) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	i := w.heldN % heldRuns
+	if w.heldN >= heldRuns {
+		w.heldSum -= w.held[i]
+	}
+	w.held[i] = d
+	w.heldSum += d
+	w.heldN++
+}
+
+// perSec is the done rate over the last rateSpan seconds before now, or
+// over up when the scheduler is younger than that.
+func (w *rateWindow) perSec(now time.Time, up time.Duration) float64 {
+	span := min(up, rateSpan*time.Second)
+	if span <= 0 {
+		return 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var n uint64
+	for i, sec := range w.sec {
+		if sec > now.Unix()-rateSpan && sec <= now.Unix() {
+			n += w.count[i]
+		}
+	}
+	return float64(n) / span.Seconds()
+}
+
+// meanHeld is the mean time a worker held each of the last heldRuns jobs;
+// ok is false before any job has run.
+func (w *rateWindow) meanHeld() (time.Duration, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := min(w.heldN, heldRuns)
+	if n == 0 {
+		return 0, false
+	}
+	return w.heldSum / time.Duration(n), true
 }
 
 // clampRetryAfter pins a per-slot estimate into [retryAfterMin,

@@ -47,6 +47,16 @@ func (c ServerConfig) maxBody() int64 {
 //	GET    /healthz         liveness (ok for the whole process lifetime)
 //	GET    /readyz          readiness (503 during journal replay and drain)
 //
+// No answer reports a job, a sweep, or an outcome before the journal's
+// durability watermark covers it: a handler builds its view, then awaits
+// the records the view rests on (durable), then writes. A client told that
+// a job was accepted or done can therefore count on it surviving a crash
+// of the machine, and concurrent answers share one fsync (group commit).
+// Once an fsync fails the journal refuses new records: every later POST
+// gets 503 and /readyz turns not ready. The answer whose own await met the
+// failure is a 500, and a 500 from a POST does not mean the work was
+// refused: the job was queued before the await and may still run.
+//
 // Overload never blocks and never hangs: a full queue or an over-rate
 // remote gets 429 with a Retry-After hint, an oversized body gets 413, and
 // a server that is still replaying its journal (or draining for shutdown)
@@ -160,13 +170,17 @@ func (s *Server) scheduler(w http.ResponseWriter) (*Scheduler, bool) {
 }
 
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
+	sc := s.sched.Load()
 	switch {
-	case s.sched.Load() == nil:
+	case sc == nil:
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, errors.New("starting: journal replay in progress"))
 	case s.draining.Load():
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable, errors.New("draining: shutting down"))
+	case sc.journalErr() != nil:
+		// A failed fsync is sticky: this process takes no more work.
+		writeError(w, http.StatusServiceUnavailable, sc.journalErr())
 	default:
 		fmt.Fprintln(w, "ready")
 	}
@@ -185,10 +199,11 @@ type JobStatus struct {
 }
 
 // statusView snapshots a job for the wire from its in-memory header, in one
-// hold of j.mu. A spooled result's header keeps cache_hit and wall time, so
-// a status answer never reads the cache and costs the same however many
-// jobs the scheduler holds.
-func statusView(j *Job) JobStatus {
+// hold of j.mu, with the journal record the snapshot rests on (Job.rec). A
+// spooled result's header keeps cache_hit and wall time, so a status answer
+// never reads the cache and costs the same however many jobs the scheduler
+// holds.
+func statusView(j *Job) (JobStatus, int64) {
 	v := JobStatus{
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint,
@@ -197,7 +212,7 @@ func statusView(j *Job) JobStatus {
 	j.mu.Lock()
 	v.State = j.state
 	v.QueuePosition = j.queuePositionLocked()
-	res, err := j.res, j.err
+	res, err, rec := j.res, j.err, j.rec
 	j.mu.Unlock()
 	if res != nil {
 		v.CacheHit = res.CacheHit
@@ -206,7 +221,23 @@ func statusView(j *Job) JobStatus {
 	if err != nil {
 		v.Error = err.Error()
 	}
-	return v
+	return v, rec
+}
+
+// durable holds an answer until the journal's watermark covers rec, the
+// last record the answer's view rests on. Callers build their view first,
+// so that record is written by then. It reports false after writing the
+// error answer itself: a failed fsync, a closed journal, or a client gone.
+func durable(w http.ResponseWriter, r *http.Request, sched *Scheduler, rec int64) bool {
+	j := sched.journal
+	if j == nil {
+		return true
+	}
+	if err := j.AwaitDurable(r.Context(), rec); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("journal: %w", err))
+		return false
+	}
+	return true
 }
 
 // writeJSON emits a JSON response.
@@ -226,9 +257,12 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // writeSubmitError maps a submission error onto backpressure semantics: a
 // full queue is 429 with a Retry-After hint (the client should back off and
 // retry — the work was not taken), shutdown is 503, anything else is the
-// submitter's fault.
+// submitter's fault. A journal whose fsync failed takes no work: 503
+// without a Retry-After, since the failure is sticky.
 func writeSubmitError(w http.ResponseWriter, sched *Scheduler, err error) {
 	switch {
+	case errors.Is(err, ErrJournalSync):
+		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfterValue(sched.RetryAfterHint()))
 		writeError(w, http.StatusTooManyRequests, err)
@@ -297,7 +331,10 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, sched, err)
 		return
 	}
-	v := statusView(j)
+	v, rec := statusView(j)
+	if !durable(w, r, sched, rec) {
+		return
+	}
 	status := http.StatusAccepted
 	if v.State == StateDone && v.CacheHit { // served from the cache, not merely finished already
 		status = http.StatusOK
@@ -312,8 +349,14 @@ func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := sched.Jobs()
 	views := make([]JobStatus, 0, len(jobs))
+	var last int64
 	for _, j := range jobs {
-		views = append(views, statusView(j))
+		v, rec := statusView(j)
+		views = append(views, v)
+		last = max(last, rec)
+	}
+	if !durable(w, r, sched, last) {
+		return
 	}
 	writeJSON(w, http.StatusOK, views)
 }
@@ -328,7 +371,11 @@ func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, statusView(j))
+	v, rec := statusView(j)
+	if !durable(w, r, sched, rec) {
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
@@ -342,7 +389,11 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, statusView(j))
+	v, rec := statusView(j)
+	if !durable(w, r, sched, rec) {
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
@@ -358,9 +409,13 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("wait") == "1" {
 		awaitEvent(r.Context(), j.Done(), resultHold)
 	}
-	switch j.State() {
+	v, rec := statusView(j)
+	if !durable(w, r, sched, rec) {
+		return
+	}
+	switch v.State {
 	case StateQueued, StateRunning:
-		writeJSON(w, http.StatusConflict, statusView(j))
+		writeJSON(w, http.StatusConflict, v)
 		return
 	case StateCanceled:
 		// The job will never have a result; 410 tells the client to stop
@@ -425,7 +480,12 @@ func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sweepResponse{ID: id, Points: len(jobs)}
 	for _, j := range jobs {
-		resp.Jobs = append(resp.Jobs, statusView(j))
+		v, _ := statusView(j)
+		resp.Jobs = append(resp.Jobs, v)
+	}
+	// Every record written so far covers the sweep's own and its jobs'.
+	if !durable(w, r, sched, sched.journalRec()) {
+		return
 	}
 	status := http.StatusAccepted
 	if err != nil {
@@ -471,17 +531,26 @@ func sweepLookup(w http.ResponseWriter, sched *Scheduler, id string) (core.Sweep
 	return rec, jobs, true
 }
 
-func sweepViewOf(rec core.SweepRecord, jobs []*Job) sweepView {
+// sweepViewOf counts a sweep's finished points, and returns the last
+// journal record the counts rest on. The sweep's own record needs no wait:
+// POST /sweeps, whose answer is how a client learns the sweep's ID,
+// awaited it.
+func sweepViewOf(rec core.SweepRecord, jobs []*Job) (sweepView, int64) {
 	v := sweepView{ID: rec.SweepID, Points: len(jobs), Jobs: rec.JobIDs}
+	var last int64
 	for _, j := range jobs {
-		switch j.State() {
+		j.mu.Lock()
+		st, jrec := j.state, j.rec
+		j.mu.Unlock()
+		last = max(last, jrec)
+		switch st {
 		case StateDone:
 			v.Done++
 		case StateFailed, StateCanceled:
 			v.Failed++
 		}
 	}
-	return v
+	return v, last
 }
 
 func (s *Server) sweepStatus(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +562,11 @@ func (s *Server) sweepStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, sweepViewOf(rec, jobs))
+	view, last := sweepViewOf(rec, jobs)
+	if !durable(w, r, sched, last) {
+		return
+	}
+	writeJSON(w, http.StatusOK, view)
 }
 
 // sweepResult streams the reassembled sweep document — byte-identical to
@@ -510,7 +583,10 @@ func (s *Server) sweepResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	view := sweepViewOf(rec, jobs)
+	view, last := sweepViewOf(rec, jobs)
+	if !durable(w, r, sched, last) {
+		return
+	}
 	if view.Done != view.Points {
 		writeJSON(w, http.StatusConflict, view)
 		return

@@ -289,7 +289,7 @@ func BenchmarkStatusView(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchStatusSink = statusView(last)
+				benchStatusSink, _ = statusView(last)
 			}
 			if want := held / 2; benchStatusSink.QueuePosition != want {
 				b.Fatalf("queue position = %d, want %d", benchStatusSink.QueuePosition, want)

@@ -196,8 +196,8 @@ func (s *Scheduler) SubmitSweep(sw Sweep) ([]*Job, error) {
 }
 
 // SubmitSweepTracked submits the sweep and records its identity — a sweep
-// ID bound to the grid-ordered job IDs — durably in the journal (when one
-// is configured). The identity is what lets GET /sweeps/{id}/result stream
+// ID bound to the grid-ordered job IDs — in the journal (when one is
+// configured; POST /sweeps answers once the record is on disk). The identity is what lets GET /sweeps/{id}/result stream
 // the reassembled document later, from this process or from a standby that
 // replicated the journal and took over. Partial submissions (queue filled
 // mid-sweep) get no identity: the submitted prefix keeps running as plain
