@@ -6,12 +6,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"butterfly/internal/core"
-	"butterfly/internal/lab"
 	"butterfly/internal/lab/client"
 )
 
@@ -38,6 +38,22 @@ func freeAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// goldenTables reads each experiment's quick-scale table, keyed by id, from
+// the module's testdata/quick.golden: what a clean run of the registry prints.
+func goldenTables(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make(map[string]string)
+	for _, sec := range strings.Split(string(b), "\n===== ")[1:] {
+		id, _, _ := strings.Cut(sec, ":")
+		_, tables[id], _ = strings.Cut(sec, "\n\n")
+	}
+	return tables
 }
 
 // daemon wraps one butterflyd subprocess and its log capture.
@@ -86,7 +102,7 @@ func (d *daemon) dumpLog(t *testing.T) {
 // TestCrashRecovery is the chaos scenario the journal exists for: kill the
 // daemon with SIGKILL mid-batch, restart it on the same journal and cache
 // directories, and require every submitted job to complete with results
-// byte-identical to a clean run.
+// byte-identical to a clean run (the quick golden).
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos test skipped in -short mode")
@@ -180,16 +196,13 @@ func TestCrashRecovery(t *testing.T) {
 	// Every pre-crash job must reach done on the restarted daemon — the
 	// journal preserved IDs, the cache or a deterministic re-run supplies
 	// results.
+	clean := goldenTables(t)
 	for i, id := range ids {
 		res, err := c2.WaitResult(ctx, id)
 		if err != nil {
 			t.Fatalf("job %s (%s) after restart: %v", id, specs[i].Experiment, err)
 		}
-		clean, err := lab.RunSpec(specs[i])
-		if err != nil {
-			t.Fatalf("clean run %s: %v", specs[i].Experiment, err)
-		}
-		if res.Table != clean.Table {
+		if res.Table != clean[specs[i].Experiment] {
 			t.Errorf("experiment %s: recovered table diverges from clean run", specs[i].Experiment)
 		}
 		// The fingerprint the restarted daemon reports must be the one the

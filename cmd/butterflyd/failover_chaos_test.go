@@ -107,7 +107,7 @@ func TestFailoverChaos(t *testing.T) {
 		logPath := filepath.Join(stateDir, "worker"+string(rune('A'+i))+".log")
 		workers[i] = startDaemon(t, bin, addr,
 			filepath.Join(stateDir, "unused-journal"), filepath.Join(stateDir, "wcache"+string(rune('A'+i))), logPath,
-			"-role", "worker", "-join", primURL, "-no-journal", "-heartbeat", "250ms")
+			"-role", "worker", "-join", primURL, "-heartbeat", "250ms")
 	}
 	defer func() {
 		for _, w := range workers {

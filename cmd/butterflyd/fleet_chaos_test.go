@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"butterfly/internal/core"
-	"butterfly/internal/lab"
 	"butterfly/internal/lab/client"
 )
 
@@ -113,7 +112,7 @@ func TestFleetChaos(t *testing.T) {
 		logPath := filepath.Join(stateDir, "worker"+string(rune('A'+i))+".log")
 		workers[i] = startDaemon(t, bin, addr,
 			filepath.Join(stateDir, "unused-journal"), filepath.Join(stateDir, "wcache"+string(rune('A'+i))), logPath,
-			"-role", "worker", "-join", coordURL, "-no-journal", "-heartbeat", "250ms")
+			"-role", "worker", "-join", coordURL, "-heartbeat", "250ms")
 	}
 	workerKilled := false
 	defer func() {
@@ -210,19 +209,16 @@ func TestFleetChaos(t *testing.T) {
 	t.Logf("ring refill: restarted coordinator ready %v after launch, both survivors live %v after ready (heartbeat 250ms)",
 		ready.Sub(restarted).Round(time.Millisecond), time.Since(ready).Round(time.Millisecond))
 
-	// Every pre-crash job completes, byte-identical to the sequential
-	// driver, under the fingerprint it was submitted with.
+	// Every pre-crash job completes, byte-identical to the quick golden,
+	// under the fingerprint it was submitted with.
+	clean := goldenTables(t)
 	for i, id := range ids {
 		res, err := c2.WaitResult(ctx, id)
 		if err != nil {
 			t.Fatalf("job %s (%s) after fleet chaos: %v", id, specs[i].Experiment, err)
 		}
-		clean, err := lab.RunSpec(specs[i])
-		if err != nil {
-			t.Fatalf("clean run %s: %v", specs[i].Experiment, err)
-		}
-		if res.Table != clean.Table {
-			t.Errorf("experiment %s: fleet table diverges from sequential driver", specs[i].Experiment)
+		if res.Table != clean[specs[i].Experiment] {
+			t.Errorf("experiment %s: fleet table diverges from quick.golden", specs[i].Experiment)
 		}
 		if res.Fingerprint != fps[i] {
 			t.Errorf("experiment %s: fingerprint drifted across the fleet (%s -> %s)",

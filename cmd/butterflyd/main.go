@@ -108,7 +108,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 256, "bounded work queue depth")
 		cacheDir     = flag.String("cache-dir", lab.DefaultCacheDir, "content-addressed result cache directory")
 		noCache      = flag.Bool("no-cache", false, "disable the result cache (always execute)")
-		journalDir   = flag.String("journal-dir", lab.DefaultJournalDir, "write-ahead job journal directory")
+		journalDir   = flag.String("journal-dir", lab.DefaultJournalDir, "write-ahead job journal directory (roles single, coordinator, and standby; a worker keeps no journal)")
 		noJournal    = flag.Bool("no-journal", false, "disable the journal (jobs do not survive restarts)")
 		rate         = flag.Float64("rate", 50, "per-remote submission rate limit in requests/sec (0 = unlimited)")
 		burst        = flag.Int("burst", 100, "per-remote submission burst size")
@@ -211,8 +211,9 @@ func main() {
 	if !*noCache {
 		cache = lab.OpenCache(*cacheDir)
 	}
+	// A worker keeps none: the coordinator's journal records fleet jobs.
 	var journal *lab.Journal
-	if !*noJournal {
+	if !*noJournal && *role != "worker" {
 		var err error
 		journal, err = lab.OpenJournal(*journalDir)
 		if err != nil {

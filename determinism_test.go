@@ -1,12 +1,19 @@
-// Golden determinism regression: every registered experiment, run at quick
-// scale, must produce exactly the same virtual-time trajectory on every
-// machine it builds — same number of machines, same final virtual clocks,
-// same number of engine events. The two-tier charging model (lazy local
-// clocks flushed at sync points) is only admissible because it cannot change
-// these numbers; any drift here means the simulation's physics changed and
-// every table in the paper reproduction is suspect.
+// Golden regression for the whole registry at quick scale: one run of every
+// registered experiment is checked against two files.
 //
-// Regenerate after an intentional model change with:
+//   - testdata/quick.golden holds, byte for byte, what
+//     `butterflybench -all -quick` prints: each experiment's banner, its
+//     paper line, and its table.
+//   - testdata/determinism.golden holds each experiment's virtual-time
+//     trajectory: machines built, Σ final virtual clocks, Σ engine events.
+//     The two-tier charging model (lazy local clocks flushed at sync
+//     points) is only admissible because it cannot change these numbers, so
+//     a line of this file never changes without a change to the model.
+//
+// The other registry-wide tests (the probed run below, the lab's parallel
+// and goroutine-release runs, the daemon's chaos runs) compare against
+// these files instead of running a baseline of their own. Regenerate both
+// after an intentional change with:
 //
 //	go test -run TestExperimentDeterminism -update .
 package main
@@ -14,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,104 +37,116 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // partitionsFlag reruns the whole suite with every partitionable
 // experiment's machines raised to this partition count (the CI matrix runs
-// it at 1, 2, and 4 under -race). The golden file is partition-count
+// it at 1, 2, and 4 under -race). Both goldens are partition-count
 // independent — that is the partitioned engine's core invariant — so no
 // separate golden exists per count.
 var partitionsFlag = flag.Int("partitions", 0, "override partition count for partitionable experiments")
 
-// experimentFingerprint runs one experiment at quick scale and reduces every
-// engine it builds to (machines, Σ final virtual time, Σ events executed).
-// When probed is non-nil, every machine gets an observability probe feeding
-// that sink attached — used to prove observation never perturbs the physics.
-func experimentFingerprint(t *testing.T, e core.Experiment, probed *probe.Counter) string {
+// quickRun runs one experiment at quick scale, with transform applied to
+// and attach arming every machine it builds (either may be nil: attach
+// takes a probe or a fault injector), and returns its table and engines.
+func quickRun(t *testing.T, e core.Experiment, transform func(machine.Config) machine.Config, attach func(*machine.Machine)) (string, []*sim.Engine) {
+	t.Helper()
+	var engines []*sim.Engine
+	release := machine.ScopeHooks(transform, func(m *machine.Machine) {
+		engines = append(engines, m.E)
+		if attach != nil {
+			attach(m)
+		}
+	})
+	defer release()
+	var table strings.Builder
+	if err := e.Run(&table, true); err != nil {
+		t.Fatalf("experiment %s: %v", e.ID, err)
+	}
+	return table.String(), engines
+}
+
+// trajectory reduces a run's engines to its determinism.golden line:
+// machines, Σ final virtual time, Σ events executed.
+func trajectory(id string, engines []*sim.Engine) string {
+	var vtime int64
+	var events uint64
+	for _, eng := range engines {
+		vtime += eng.Now()
+		events += eng.Stats().Events
+	}
+	return fmt.Sprintf("%s machines=%d vtime=%d events=%d", id, len(engines), vtime, events)
+}
+
+// runRegistry runs every experiment once at quick scale, under -partitions,
+// with arm(e) (when arm is non-nil) arming each of e's machines, and
+// returns what the two goldens hold: the trajectory lines and the
+// `-all -quick` output.
+func runRegistry(t *testing.T, arm func(core.Experiment) func(*machine.Machine)) (fps, out string) {
 	t.Helper()
 	var transform func(machine.Config) machine.Config
 	if *partitionsFlag > 0 {
 		transform = core.Spec{Partitions: *partitionsFlag}.ConfigTransform()
 	}
-	var engines []*sim.Engine
-	release := machine.ScopeHooks(transform, func(m *machine.Machine) {
-		engines = append(engines, m.E)
-		if probed != nil {
-			m.AttachProbe(probe.New(probed))
+	var f, o strings.Builder
+	for _, e := range core.Experiments() {
+		var attach func(*machine.Machine)
+		if arm != nil {
+			attach = arm(e)
 		}
-	})
-	defer release()
-	if err := e.Run(io.Discard, true); err != nil {
-		t.Fatalf("experiment %s: %v", e.ID, err)
+		table, engines := quickRun(t, e, transform, attach)
+		fmt.Fprintln(&f, trajectory(e.ID, engines))
+		fmt.Fprintf(&o, "\n===== %s: %s =====\npaper: %s\n\n%s", e.ID, e.Title, e.Paper, table)
 	}
-	var vtime int64
-	var events uint64
-	for _, eng := range engines {
-		vtime += eng.Now()
-		events += eng.Stats().Events
+	return f.String(), o.String()
+}
+
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatalf("missing golden (regenerate it with -update): %v", err)
 	}
-	return fmt.Sprintf("%s machines=%d vtime=%d events=%d", e.ID, len(engines), vtime, events)
+	return string(b)
+}
+
+// firstDiff names the first line on which got and want part, and the
+// experiment it belongs to: a determinism.golden line starts with the id,
+// and a table line follows its experiment's banner.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	i, banner := 0, ""
+	for ; i < len(g) && i < len(w) && g[i] == w[i]; i++ {
+		if strings.HasPrefix(g[i], "===== ") {
+			banner = "under " + g[i] + ", "
+		}
+	}
+	line := func(s []string) string {
+		if i < len(s) {
+			return s[i]
+		}
+		return "(end)"
+	}
+	return fmt.Sprintf("%sline %d:\n  got  %s\n  want %s", banner, i+1, line(g), line(w))
+}
+
+// checkGolden holds got to testdata/name byte for byte.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	if want := readGolden(t, name); got != want {
+		t.Errorf("drift from %s %s", name, firstDiff(got, want))
+	}
 }
 
 func TestExperimentDeterminism(t *testing.T) {
-	var lines []string
-	for _, e := range core.Experiments() {
-		lines = append(lines, experimentFingerprint(t, e, nil))
-	}
-	got := strings.Join(lines, "\n") + "\n"
-
-	path := filepath.Join("testdata", "determinism.golden")
+	fps, out := runRegistry(t, nil)
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
+		for name, got := range map[string]string{"determinism.golden": fps, "quick.golden": out} {
+			if err := os.WriteFile(filepath.Join("testdata", name), []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote testdata/%s", name)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
 		return
 	}
-	wantBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run `go test -run TestExperimentDeterminism -update .`): %v", err)
-	}
-	want := string(wantBytes)
-	if got == want {
-		return
-	}
-	// Line-by-line diagnosis beats dumping two blobs.
-	gotLines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
-	wantLines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("determinism drift:\n  got  %s\n  want %s", g, w)
-		}
-	}
-}
-
-// faultedFingerprint runs one experiment at quick scale with a fault
-// injector (built fresh from cfg) attached to every machine it boots.
-func faultedFingerprint(t *testing.T, e core.Experiment, cfg fault.Config) string {
-	t.Helper()
-	var engines []*sim.Engine
-	release := machine.ScopeHooks(nil, func(m *machine.Machine) {
-		engines = append(engines, m.E)
-		m.AttachFaults(fault.NewInjector(cfg))
-	})
-	defer release()
-	if err := e.Run(io.Discard, true); err != nil {
-		t.Fatalf("experiment %s (faulted): %v", e.ID, err)
-	}
-	var vtime int64
-	var events uint64
-	for _, eng := range engines {
-		vtime += eng.Now()
-		events += eng.Stats().Events
-	}
-	return fmt.Sprintf("%s machines=%d vtime=%d events=%d", e.ID, len(engines), vtime, events)
+	checkGolden(t, "determinism.golden", fps)
+	checkGolden(t, "quick.golden", out)
 }
 
 // TestFaultSeedDeterminism runs fault-tolerant experiments twice with an
@@ -148,38 +166,41 @@ func TestFaultSeedDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
 		}
-		var a, b string
+		// An experiment that manages its own faults builds its injectors
+		// (seeded from its fixed default config): just run it twice.
+		attach := func(m *machine.Machine) { m.AttachFaults(fault.NewInjector(cfg)) }
 		if e.ManagesFaults {
-			// The experiment builds its own injectors (seeded from its
-			// fixed default config): just run it twice.
-			a = experimentFingerprint(t, e, nil)
-			b = experimentFingerprint(t, e, nil)
-		} else {
-			a = faultedFingerprint(t, e, cfg)
-			b = faultedFingerprint(t, e, cfg)
+			attach = nil
 		}
-		if a != b {
+		var fp [2]string
+		for i := range fp {
+			_, engines := quickRun(t, e, nil, attach)
+			fp[i] = trajectory(id, engines)
+		}
+		if a, b := fp[0], fp[1]; a != b {
 			t.Errorf("fault injection is not deterministic for %s:\n  run1 %s\n  run2 %s", id, a, b)
 		}
 	}
 }
 
-// TestProbesDoNotPerturb runs every experiment twice — probes off, then
-// probes on with a counting sink — and demands identical fingerprints. This
+// TestProbesDoNotPerturb runs every experiment with probes on, each feeding
+// a counting sink, and demands the golden trajectories and tables. This
 // pins the probe subsystem's core contract: attaching observation changes
-// nothing about the simulation (no extra events, no clock drift, no dispatch
-// reordering), so any measurement the probe reports describes the same
-// execution the tables were generated from.
+// nothing about the simulation (no extra events, no clock drift, no
+// dispatch reordering), so any measurement the probe reports describes the
+// same execution the tables were generated from.
 func TestProbesDoNotPerturb(t *testing.T) {
-	for _, e := range core.Experiments() {
-		bare := experimentFingerprint(t, e, nil)
-		var c probe.Counter
-		probed := experimentFingerprint(t, e, &c)
-		if bare != probed {
-			t.Errorf("probe perturbed %s:\n  off %s\n  on  %s", e.ID, bare, probed)
-		}
+	counts := make(map[string]*probe.Counter)
+	fps, out := runRegistry(t, func(e core.Experiment) func(*machine.Machine) {
+		c := new(probe.Counter)
+		counts[e.ID] = c
+		return func(m *machine.Machine) { m.AttachProbe(probe.New(c)) }
+	})
+	checkGolden(t, "determinism.golden", fps)
+	checkGolden(t, "quick.golden", out)
+	for id, c := range counts {
 		if c.Total() == 0 {
-			t.Errorf("probe recorded no events for %s; instrumentation is not wired through", e.ID)
+			t.Errorf("probe recorded no events for %s; instrumentation is not wired through", id)
 		}
 	}
 }

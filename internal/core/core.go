@@ -107,15 +107,3 @@ func Lookup(id string) (Experiment, bool) {
 	}
 	return Experiment{}, false
 }
-
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, quick bool) error {
-	for _, e := range registry {
-		fmt.Fprintf(w, "\n===== %s: %s =====\n", e.ID, e.Title)
-		fmt.Fprintf(w, "paper: %s\n\n", e.Paper)
-		if err := e.Run(w, quick); err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-	}
-	return nil
-}

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"io"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -65,54 +66,52 @@ func TestExperimentMetadata(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentQuick runs every registered experiment at reduced scale
-// — the whole-repo integration test.
-func TestEveryExperimentQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick experiments still take a few seconds")
+// quickGolden reads the module's testdata/quick.golden, which the root
+// package's TestExperimentDeterminism holds a run of the registry to, and
+// splits it into each experiment's table, keyed by id. The tests here check
+// the golden itself, so a wrong -update cannot bake in a broken table.
+func quickGolden(t *testing.T) (golden string, tables map[string]string) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quick.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	tables = make(map[string]string)
+	for _, sec := range strings.Split(string(b), "\n===== ")[1:] {
+		id, _, _ := strings.Cut(sec, ":")
+		_, tables[id], _ = strings.Cut(sec, "\n\n")
+	}
+	return string(b), tables
+}
+
+// TestEveryExperimentQuick: the quick golden holds every registered
+// experiment, in registry order, under its banner and paper line, with a
+// non-empty table — so every experiment ran to completion at quick scale.
+func TestEveryExperimentQuick(t *testing.T) {
+	golden, tables := quickGolden(t)
+	var want strings.Builder
 	for _, e := range Experiments() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Errorf("%s produced no output", e.ID)
+			if strings.TrimSpace(tables[e.ID]) == "" {
+				t.Errorf("quick.golden holds no table for %s", e.ID)
 			}
 		})
+		fmt.Fprintf(&want, "\n===== %s: %s =====\npaper: %s\n\n%s", e.ID, e.Title, e.Paper, tables[e.ID])
+	}
+	if want.String() != golden {
+		t.Error("quick.golden's banners, paper lines, or experiment list do not match the registry")
 	}
 }
 
-func TestRunAllStopsOnError(t *testing.T) {
-	// RunAll with a discarding writer must succeed end to end (quick).
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	if err := RunAll(io.Discard, true); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestQuickClaimsHold: a few qualitative paper claims hold at quick scale.
 func TestQuickClaimsHold(t *testing.T) {
-	// A few qualitative paper claims must hold even at quick scale.
-	var buf bytes.Buffer
-	e, _ := Lookup("numa")
-	if err := e.Run(&buf, true); err != nil {
-		t.Fatal(err)
+	_, tables := quickGolden(t)
+	var ratio float64
+	_, rest, _ := strings.Cut(tables["numa"], "remote/local ratio:")
+	if _, err := fmt.Sscan(rest, &ratio); err != nil || ratio <= 1 {
+		t.Errorf("numa: remote/local ratio %.2f, want remote references slower than local:\n%s", ratio, tables["numa"])
 	}
-	out := buf.String()
-	if !strings.Contains(out, "remote/local ratio") {
-		t.Errorf("numa output malformed:\n%s", out)
-	}
-
-	buf.Reset()
-	e, _ = Lookup("fig6")
-	if err := e.Run(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "deadlock reproduced") {
-		t.Error("fig6 did not reproduce the deadlock")
+	if !strings.Contains(tables["fig6"], "deadlock reproduced") {
+		t.Errorf("fig6 did not reproduce the deadlock:\n%s", tables["fig6"])
 	}
 }

@@ -135,7 +135,8 @@ type StandbyMetrics struct {
 	Role    string `json:"role"`
 	Primary string `json:"primary"`
 	Epoch   uint64 `json:"epoch"`
-	// AckedRec is the last journal record durably replicated here.
+	// AckedRec is the record number this standby's last pull sent the
+	// primary; every record up to it was fsynced here before it was sent.
 	AckedRec int64 `json:"acked_rec"`
 	// LastSyncAgeMs is time since the last successful pull (-1 before the
 	// first).

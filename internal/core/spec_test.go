@@ -130,20 +130,3 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 	}()
 	register(Experiment{ID: "numa", Title: "imposter", Run: nil})
 }
-
-func TestRunAllQuickWritesEveryHeader(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	var b strings.Builder
-	if err := RunAll(&b, true); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, e := range Experiments() {
-		header := "===== " + e.ID + ": " + e.Title + " ====="
-		if !strings.Contains(out, header) {
-			t.Errorf("RunAll output missing header for %s", e.ID)
-		}
-	}
-}

@@ -166,6 +166,7 @@ type Follower struct {
 	lastAlive atomic.Int64 // UnixNano of the last HTTP answer from the primary
 	lastSync  atomic.Int64 // UnixNano of the last successfully applied pull
 	fullState atomic.Bool  // next pull must request a snapshot (gap detected)
+	acked     atomic.Int64 // record number the last pull sent (durable here)
 	tookOver  atomic.Bool
 
 	// ctx ends the pull loop (and any held pull in flight) on Stop.
@@ -258,12 +259,18 @@ func (f *Follower) tick() bool {
 
 // pullOnce does one pull round-trip and applies its payload. answered
 // reports whether the primary produced any HTTP response (alive), even a
-// failing one.
+// failing one. It acks only records on this disk: it awaits the journal's
+// durability watermark first, one group-committed fsync per applied batch.
 func (f *Follower) pullOnce() (answered bool, err error) {
+	rec := f.cfg.Journal.Rec()
+	if err := f.cfg.Journal.AwaitDurable(f.ctx, rec); err != nil {
+		return false, err
+	}
+	f.acked.Store(rec)
 	req := core.ReplicaPullRequest{
 		FollowerID:  f.cfg.Self.ID,
 		FollowerURL: f.cfg.Self.URL,
-		AfterRec:    f.cfg.Journal.Rec(),
+		AfterRec:    rec,
 		FullState:   f.fullState.Load(),
 	}
 	body, _ := json.Marshal(req)
@@ -321,7 +328,7 @@ func (f *Follower) Metrics() core.StandbyMetrics {
 		Role:          "standby",
 		Primary:       f.cfg.Primary,
 		Epoch:         f.cfg.Journal.Epoch(),
-		AckedRec:      f.cfg.Journal.Rec(),
+		AckedRec:      f.acked.Load(),
 		LastSyncAgeMs: syncAge,
 	}
 }

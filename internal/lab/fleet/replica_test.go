@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -140,6 +143,54 @@ func TestReplicationStreamsJournal(t *testing.T) {
 	})
 	if urls := rep.FollowerURLs(); len(urls) != 1 || urls[0] != "http://sb" {
 		t.Errorf("FollowerURLs = %v", urls)
+	}
+}
+
+// TestFollowerAcksOnlyDurable: every pull a standby sends acknowledges only
+// records already on its disk — when the primary's pull handler receives
+// AfterRec = n, the standby journal's durability watermark is at least n —
+// so the primary never counts as replicated a record that a standby power
+// loss would drop. The standby's acked_rec gauge is the last value sent.
+func TestFollowerAcksOnlyDurable(t *testing.T) {
+	primary, standby := openTestJournal(t), openTestJournal(t)
+	rep := NewReplicator(primary)
+	var lastAck atomic.Int64
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req core.ReplicaPullRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Errorf("pull body: %v", err)
+		}
+		if durable := standby.Rec() - standby.Stats().DurableLagRecs; durable < req.AfterRec {
+			t.Errorf("standby acknowledged record %d with its durability watermark at %d", req.AfterRec, durable)
+		}
+		lastAck.Store(req.AfterRec)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rep.HandlePull(w, r)
+	}))
+	defer hts.Close()
+	f := NewFollower(FollowerConfig{
+		Self:      core.WorkerRecord{ID: "sb", URL: "http://sb"},
+		Primary:   hts.URL,
+		Journal:   standby,
+		DeadAfter: time.Hour, // never take over in this test
+		Logf:      t.Logf,
+	})
+	f.Start()
+	defer f.Stop()
+
+	// Two batches: the second streams to a caught-up follower.
+	for batch := 0; batch < 2; batch++ {
+		for i := 0; i < 4; i++ {
+			id := fmt.Sprintf("j%d%03d-aaaa", batch, i)
+			if err := primary.Submitted(id, 1, core.Spec{Experiment: "numa", Quick: true}, "fp-"+id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "standby to ack the batch", func() bool { return lastAck.Load() == primary.Rec() })
+	}
+	if got := f.Metrics().AckedRec; got != primary.Rec() {
+		t.Errorf("acked_rec = %d, want the last ack sent, %d", got, primary.Rec())
 	}
 }
 

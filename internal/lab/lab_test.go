@@ -1,11 +1,11 @@
 package lab
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,33 +14,44 @@ import (
 	"butterfly/internal/core"
 )
 
-// runDirect runs an experiment the way the pre-lab sequential driver did:
-// straight through the registry on the calling goroutine.
-func runDirect(t *testing.T, id string, quick bool) string {
+// goldens reads each experiment's quick-scale table and trajectory line,
+// keyed by id, from the module's testdata/quick.golden and
+// determinism.golden (see the root package's determinism_test.go).
+func goldens(t *testing.T) (tables, trajectories map[string]string) {
 	t.Helper()
-	exp, ok := core.Lookup(id)
-	if !ok {
-		t.Fatalf("unknown experiment %q", id)
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	var b bytes.Buffer
-	if err := exp.Run(&b, quick); err != nil {
-		t.Fatalf("%s: %v", id, err)
+	tables = make(map[string]string)
+	for _, sec := range strings.Split(read("quick.golden"), "\n===== ")[1:] {
+		id, _, _ := strings.Cut(sec, ":")
+		_, tables[id], _ = strings.Cut(sec, "\n\n")
 	}
-	return b.String()
+	trajectories = make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSuffix(read("determinism.golden"), "\n"), "\n") {
+		id, _, _ := strings.Cut(line, " ")
+		trajectories[id] = line
+	}
+	return tables, trajectories
 }
 
+// TestRunSpecMatchesDirect: a lab run prints the table and walks the
+// trajectory that a direct run of the registry pinned in the goldens.
 func TestRunSpecMatchesDirect(t *testing.T) {
-	want := runDirect(t, "numa", true)
+	tables, trajectories := goldens(t)
 	res, err := RunSpec(core.Spec{Experiment: "numa", Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Table != want {
-		t.Errorf("lab table diverges from direct run:\nlab:\n%s\ndirect:\n%s", res.Table, want)
+	if res.Table != tables["numa"] {
+		t.Errorf("lab table diverges from quick.golden:\n%s", res.Table)
 	}
-	if res.Machines < 1 || res.Events == 0 || res.VTimeNs == 0 {
-		t.Errorf("trajectory fingerprint empty: machines=%d events=%d vtime=%d",
-			res.Machines, res.Events, res.VTimeNs)
+	if got := fmt.Sprintf("numa machines=%d vtime=%d events=%d", res.Machines, res.VTimeNs, res.Events); got != trajectories["numa"] {
+		t.Errorf("trajectory = %s, want %s", got, trajectories["numa"])
 	}
 	if res.Attempts != 1 || res.CacheHit || res.Fingerprint == "" {
 		t.Errorf("result bookkeeping wrong: %+v", res)
@@ -316,8 +327,8 @@ func BenchmarkCacheGet(b *testing.B) {
 }
 
 // TestSchedulerParallelDeterminism is the tentpole invariant: running
-// experiments concurrently on the worker pool yields byte-identical tables
-// and identical trajectory fingerprints to sequential execution. Run under
+// experiments concurrently on the worker pool yields the golden tables and
+// trajectories that one sequential run of the registry pinned. Run under
 // -race this also proves the workers share no simulation state.
 func TestSchedulerParallelDeterminism(t *testing.T) {
 	ids := []string{"numa", "hotspot", "prims", "alloc", "fig6", "crowd", "sarcache", "rpc"}
@@ -327,21 +338,7 @@ func TestSchedulerParallelDeterminism(t *testing.T) {
 			ids = append(ids, e.ID)
 		}
 	}
-
-	type baseline struct {
-		table    string
-		machines int
-		events   uint64
-		vtime    int64
-	}
-	want := make(map[string]baseline, len(ids))
-	for _, id := range ids {
-		res, err := RunSpec(core.Spec{Experiment: id, Quick: true})
-		if err != nil {
-			t.Fatalf("sequential %s: %v", id, err)
-		}
-		want[id] = baseline{res.Table, res.Machines, res.Events, res.VTimeNs}
-	}
+	tables, trajectories := goldens(t)
 
 	s := NewScheduler(Config{Workers: 4})
 	defer s.Shutdown(context.Background())
@@ -359,13 +356,12 @@ func TestSchedulerParallelDeterminism(t *testing.T) {
 	}
 	for i, res := range results {
 		id := ids[i]
-		w := want[id]
-		if res.Table != w.table {
-			t.Errorf("%s: parallel table diverges from sequential run", id)
+		if res.Table != tables[id] {
+			t.Errorf("%s: parallel table diverges from quick.golden", id)
 		}
-		if res.Machines != w.machines || res.Events != w.events || res.VTimeNs != w.vtime {
-			t.Errorf("%s: trajectory diverged: got (%d, %d, %d), want (%d, %d, %d)",
-				id, res.Machines, res.Events, res.VTimeNs, w.machines, w.events, w.vtime)
+		got := fmt.Sprintf("%s machines=%d vtime=%d events=%d", id, res.Machines, res.VTimeNs, res.Events)
+		if got != trajectories[id] {
+			t.Errorf("trajectory diverged:\n  got  %s\n  want %s", got, trajectories[id])
 		}
 	}
 

@@ -8,11 +8,13 @@ import (
 	"butterfly/internal/core"
 )
 
-// TestRunReleasesGoroutines: a finished run keeps no goroutine alive. A
-// deadlocked or interrupted engine used to leave its blocked processes (and
-// an Ant Farm its parked threads) parked forever, each pinning its machine,
-// so a long-lived daemon grew by every such job it ran.
+// TestRunReleasesGoroutines: a finished run keeps no goroutine alive, and
+// prints its golden table. A deadlocked or interrupted engine used to leave
+// its blocked processes (and an Ant Farm its parked threads) parked
+// forever, each pinning its machine, so a long-lived daemon grew by every
+// such job it ran.
 func TestRunReleasesGoroutines(t *testing.T) {
+	tables, _ := goldens(t)
 	// spread at full scale runs for seconds; a 25 ms budget always expires
 	// with processes mid-flight.
 	specs := []core.Spec{{Experiment: "spread", TimeoutMs: 25}}
@@ -21,8 +23,8 @@ func TestRunReleasesGoroutines(t *testing.T) {
 	}
 	for _, spec := range specs {
 		before := runtime.NumGoroutine()
-		if _, err := RunSpec(spec); err != nil && spec.TimeoutMs == 0 {
-			t.Errorf("%s: %v", spec.Experiment, err)
+		if res, err := RunSpec(spec); spec.TimeoutMs == 0 && (err != nil || res.Table != tables[spec.Experiment]) {
+			t.Errorf("%s: error %v, or its table diverges from quick.golden", spec.Experiment, err)
 		}
 		if after := settledGoroutines(before); after > before {
 			t.Errorf("%s (timeout %d ms): %d goroutines after the run, %d before",

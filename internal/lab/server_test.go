@@ -83,15 +83,15 @@ func TestServerJobLifecycle(t *testing.T) {
 		t.Fatalf("job finished as %s: %s", st.State, st.Error)
 	}
 
-	// Text result matches a direct run of the experiment.
+	// Text result matches the experiment's golden table.
 	resp, err := http.Get(ts.URL + "/jobs/" + sub.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	table, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if want := runDirect(t, "numa", true); string(table) != want {
-		t.Error("HTTP result table diverges from direct run")
+	if tables, _ := goldens(t); string(table) != tables["numa"] {
+		t.Error("HTTP result table diverges from quick.golden")
 	}
 
 	// JSON result carries the full structured record.

@@ -9,41 +9,24 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"butterfly/internal/core"
-	"butterfly/internal/machine"
-	"butterfly/internal/sim"
 )
 
 // partitionedRun executes one experiment at quick scale with its machines
 // raised to the given partition count, returning the printed table and the
-// trajectory fingerprint.
+// trajectory, cross-partition exchanges included.
 func partitionedRun(t *testing.T, e core.Experiment, parts int) (table, fingerprint string) {
 	t.Helper()
-	transform := core.Spec{Partitions: parts}.ConfigTransform()
-	var engines []*sim.Engine
-	release := machine.ScopeHooks(transform, func(m *machine.Machine) {
-		engines = append(engines, m.E)
-	})
-	defer release()
-	var buf bytes.Buffer
-	if err := e.Run(&buf, true); err != nil {
-		t.Fatalf("experiment %s at %d partitions: %v", e.ID, parts, err)
-	}
-	var vtime int64
-	var events, exchanges uint64
+	table, engines := quickRun(t, e, core.Spec{Partitions: parts}.ConfigTransform(), nil)
+	var exchanges uint64
 	for _, eng := range engines {
-		st := eng.Stats()
-		vtime += eng.Now()
-		events += st.Events
-		exchanges += st.Exchanges
+		exchanges += eng.Stats().Exchanges
 	}
-	return buf.String(), fmt.Sprintf("machines=%d vtime=%d events=%d exchanges=%d",
-		len(engines), vtime, events, exchanges)
+	return table, fmt.Sprintf("%s exchanges=%d", trajectory(e.ID, engines), exchanges)
 }
 
 // TestPartitionableExperimentsExist guards the registry wiring: the byte-

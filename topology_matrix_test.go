@@ -6,41 +6,19 @@
 package main
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"butterfly/internal/core"
-	"butterfly/internal/machine"
-	"butterfly/internal/sim"
 	"butterfly/internal/switchnet"
 )
 
 // topologyRun executes one experiment at quick scale with every machine
-// rebuilt on the named interconnect ("" = no transform), returning the table
-// and trajectory fingerprint.
+// rebuilt on the named interconnect ("" = the default), returning the
+// table and trajectory.
 func topologyRun(t *testing.T, e core.Experiment, topo string) (string, string) {
 	t.Helper()
-	var transform func(machine.Config) machine.Config
-	if topo != "" {
-		transform = core.Spec{Topology: topo}.ConfigTransform()
-	}
-	var engines []*sim.Engine
-	release := machine.ScopeHooks(transform, func(m *machine.Machine) {
-		engines = append(engines, m.E)
-	})
-	defer release()
-	var buf bytes.Buffer
-	if err := e.Run(&buf, true); err != nil {
-		t.Fatalf("%s on %q: %v", e.ID, topo, err)
-	}
-	var vtime int64
-	var events uint64
-	for _, eng := range engines {
-		vtime += eng.Now()
-		events += eng.Stats().Events
-	}
-	return buf.String(), fmt.Sprintf("machines=%d vtime=%d events=%d", len(engines), vtime, events)
+	table, engines := quickRun(t, e, core.Spec{Topology: topo}.ConfigTransform(), nil)
+	return table, trajectory(e.ID, engines)
 }
 
 // matrixExperiments is the cross-section the matrix pins: a latency table, a
@@ -62,7 +40,7 @@ func TestTopologyButterflyIsDefault(t *testing.T) {
 			t.Errorf("%s: -topology butterfly table differs from default", id)
 		}
 		if defFP != bflFP {
-			t.Errorf("%s: trajectory drift: default %s, butterfly %s", id, defFP, bflFP)
+			t.Errorf("trajectory drift: default %s, butterfly %s", defFP, bflFP)
 		}
 	}
 }

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,60 +28,34 @@ import (
 const workloadGoldenDirectives = "pattern bursty; rate 1200; burst-rate 4800; seed 11; detail"
 
 // serviceReport runs the `service` experiment at quick scale under the
-// pinned workload directive and returns the full report bytes. When probed
-// is non-nil every machine gets an observability probe attached.
-func serviceReport(t *testing.T, probed *probe.Counter) []byte {
+// pinned workload directive and returns the full report. attach, when
+// non-nil, arms every machine (with a probe).
+func serviceReport(t *testing.T, attach func(*machine.Machine)) string {
 	t.Helper()
 	e, ok := core.Lookup("service")
 	if !ok {
 		t.Fatal("service experiment not registered")
 	}
-	release := workload.Scope(workloadGoldenDirectives)
-	defer release()
-	var hooksRelease func()
-	if probed != nil {
-		hooksRelease = machine.ScopeHooks(nil, func(m *machine.Machine) {
-			m.AttachProbe(probe.New(probed))
-		})
-		defer hooksRelease()
-	}
-	var buf bytes.Buffer
-	if err := e.Run(&buf, true); err != nil {
-		t.Fatalf("service: %v", err)
-	}
-	return buf.Bytes()
+	defer workload.Scope(workloadGoldenDirectives)()
+	report, _ := quickRun(t, e, nil, attach)
+	return report
 }
 
 func TestWorkloadReportGolden(t *testing.T) {
 	got := serviceReport(t, nil)
-
-	path := filepath.Join("testdata", "slo_service.golden")
 	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", "slo_service.golden"), []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", path)
+		t.Log("wrote testdata/slo_service.golden")
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run `go test -run TestWorkloadReportGolden -update .`): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("SLO report drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "slo_service.golden", got)
 
-	// Same spec, same seed, second run: byte-identical.
-	if again := serviceReport(t, nil); !bytes.Equal(again, got) {
-		t.Errorf("second run produced a different report:\n--- run2 ---\n%s", again)
-	}
-
-	// Probes attached: still byte-identical (observation must not perturb),
-	// and the probe must actually have seen traffic.
+	// Probes attached: a second run, still byte-identical (observation must
+	// not perturb), and the probe must actually have seen traffic.
 	var c probe.Counter
-	if probed := serviceReport(t, &c); !bytes.Equal(probed, got) {
-		t.Errorf("probed run produced a different report:\n--- probed ---\n%s", probed)
-	}
+	checkGolden(t, "slo_service.golden", serviceReport(t, func(m *machine.Machine) { m.AttachProbe(probe.New(&c)) }))
 	if c.Total() == 0 {
 		t.Error("probe recorded no events during the workload run")
 	}
