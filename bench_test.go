@@ -68,8 +68,8 @@ func BenchmarkEngineContextSwitch(b *testing.B) {
 }
 
 func BenchmarkEngineHandoff(b *testing.B) {
-	// Two processes on alternating ticks: every event is a real
-	// goroutine-to-goroutine handoff (the slow path ContextSwitch avoids).
+	// Two processes on alternating ticks: every event is a real coroutine
+	// switch through the dispatch loop (the slow path ContextSwitch avoids).
 	b.ReportAllocs()
 	e := sim.New()
 	for i := 0; i < 2; i++ {

@@ -413,3 +413,54 @@ func TestSleepChargesTime(t *testing.T) {
 		t.Errorf("slept %d", elapsed)
 	}
 }
+
+// TestKillWhileThreadHoldsProcess: a node kill that lands while a thread
+// holds the farm's process resumes the thread's goroutine, not the
+// process's root one — a thread parks its process from its own goroutine,
+// so that goroutine is the one the process's coroutine switches back to.
+// The thread forwards the exit sentinel to the root goroutine, the process
+// dies there, and the farm's threads are unwound with it.
+func TestKillWhileThreadHoldsProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	os := newOS(t, 2)
+	unwound := 0
+	woke := false
+	farm, err := os.MakeProcess(nil, "farm", 0, 16, func(self *chrysalis.Process) {
+		Run(self, DefaultConfig(), func(main *Thread) {
+			defer func() { unwound++ }()
+			main.Farm.Spawn("idle", func(w *Thread) {
+				defer func() { unwound++ }()
+				w.BlockThread("never woken")
+			})
+			main.YieldThread()               // let it block
+			main.Sleep(10 * sim.Millisecond) // the kill lands in here
+			woke = true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.M.E.Spawn("killer", 1, func(p *sim.Proc) {
+		p.Advance(sim.Millisecond)
+		os.M.E.Kill(farm.P)
+	})
+	if err := os.M.E.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if woke {
+		t.Error("the killed farm's thread ran past its kill point")
+	}
+	if !farm.P.Done() || !farm.P.Killed() {
+		t.Errorf("farm process Done=%v Killed=%v, want true/true", farm.P.Done(), farm.P.Killed())
+	}
+	if unwound != 2 {
+		t.Errorf("%d of 2 threads were unwound", unwound)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after the run, %d before", n, before)
+	}
+}

@@ -1,7 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation engine.
-// Simulated processes run as goroutines, but the engine resumes exactly one
-// process at a time per partition, in (virtual time, FIFO sequence) order, so
-// a simulation is reproducible and free of data races by construction.
+// Simulated processes run as coroutines: one dispatch loop per partition
+// resumes exactly one process at a time, in (virtual time, FIFO sequence)
+// order, so a simulation is reproducible and free of data races by
+// construction.
 //
 // The engine is the substrate for the Butterfly machine model: every higher
 // layer (memory modules, the switching network, Chrysalis, the programming
@@ -9,7 +10,7 @@
 // is measured in integer nanoseconds.
 //
 // Time is charged through a two-tier API. Proc.Charge accumulates virtual
-// time in a per-process local clock without suspending the goroutine; the
+// time in a per-process local clock without suspending the process; the
 // park-based Proc.Advance (and the implicit flushes at every synchronization
 // point: Block, Unblock, Yield, spawn, exit, wait-queue and barrier
 // operations) folds the local clock back into the shared event queue. A
@@ -76,10 +77,15 @@ type Proc struct {
 	// Ctx is an arbitrary per-process context slot for higher layers.
 	Ctx any
 
-	eng        *Engine
-	sd         *sched // the partition scheduler that owns this process
-	resume     chan struct{}
-	state      procState
+	eng   *Engine
+	sd    *sched // the partition scheduler that owns this process
+	state procState
+	// next resumes the process's coroutine until its next park (ok true) or
+	// its end (ok false); yield, called by the process itself, suspends it
+	// back to the dispatch loop. Both are dropped once the body finishes.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+
 	blockedOn  string // reason string while blocked, for deadlock reports
 	exited     bool   // set when terminated via Exit or Kill
 	killed     bool   // terminated from outside via Engine.Kill (node failure)
@@ -158,10 +164,10 @@ const Lookahead = 250 * Microsecond
 
 // sched is the event queue and clock of one partition. A classic engine has
 // exactly one; a partitioned engine has one per partition, each driven by its
-// own goroutine chain inside a window while the coordinator waits. All fields
-// are owned by whichever goroutine currently runs the partition — ownership
-// transfers through the drained/resume channels, which provide the needed
-// happens-before edges.
+// own dispatch loop (run) inside a window. All fields are owned by whichever
+// goroutine currently runs the partition's loop or one of its coroutines:
+// coroutine switches and, between windows, the coordinator's goroutine
+// start and drained channel provide the needed happens-before edges.
 type sched struct {
 	eng     *Engine
 	id      int
@@ -169,6 +175,9 @@ type sched struct {
 	seq     uint64
 	heap    []*Proc // indexed min-heap by (at, seq); one entry per ready proc
 	running *Proc
+	// handoff is the process a parking or finishing process names as its
+	// successor, for the dispatch loop to resume next (nil: none in window).
+	handoff *Proc
 	live    int // processes spawned into this partition and not yet done
 	blocked int // processes currently blocked
 	stats   Stats
@@ -205,14 +214,14 @@ func (s *sched) flushRunning() {
 // New. By default it is strictly sequential; see EnablePartitions.
 type Engine struct {
 	scheds  []*sched
-	done    chan struct{}
 	procs   []*Proc
 	started bool
 
 	// Partitioned-mode state (see partition.go). windowed is set by
 	// EnablePartitions; partOf maps a node index to a partition index;
 	// drained carries each partition's end-of-window notification to the
-	// coordinator; barrierHook, when non-nil, runs at every window barrier.
+	// coordinator in concurrent windows; barrierHook, when non-nil, runs at
+	// every window barrier.
 	windowed    bool
 	partOf      func(node int) int
 	drained     chan *sched
@@ -230,7 +239,7 @@ type Engine struct {
 	probe *probe.Probe
 
 	// interrupted is the only piece of engine state that may be touched
-	// from outside the simulation's goroutine chain: the end of a job's
+	// from outside the simulation's dispatch loops: the end of a job's
 	// context (timeout or cancellation) sets it, and the dispatcher checks
 	// it at every dispatch point.
 	interrupted atomic.Bool
@@ -245,7 +254,7 @@ type Engine struct {
 
 // New creates an empty simulation engine at virtual time zero.
 func New() *Engine {
-	e := &Engine{done: make(chan struct{}, 1)}
+	e := &Engine{}
 	e.scheds = []*sched{newSched(e, 0)}
 	return e
 }
@@ -344,7 +353,6 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 		Node:      node,
 		eng:       e,
 		sd:        s,
-		resume:    make(chan struct{}, 1),
 		state:     stateNew,
 		spawnedAt: s.now,
 		heapIdx:   -1,
@@ -352,11 +360,13 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 	e.procs = append(e.procs, p)
 	s.live++
 	s.stats.Spawned++
-	go func() {
-		<-p.resume // wait for first dispatch
-		// The completion notification is deferred so that the simulation
-		// continues even if fn terminates via runtime.Goexit (e.g. t.Fatal
-		// in a test body) — otherwise the engine would wait forever.
+	p.coroutine(func() {
+		// Completion is deferred so it also runs when the body ends by a
+		// panic or runtime.Goexit. The coroutine re-raises either in the
+		// dispatch loop's goroutine, which is Run's own unless windows run
+		// concurrently: a panic reaches Run's caller, and a Goexit (t.Fatal
+		// in a test body) ends the goroutine that called Run, so Run never
+		// returns; release unwinds the rest either way.
 		defer func() {
 			p.finishing = true
 			if p.local > 0 {
@@ -374,13 +384,8 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 				pr.ProcRun(p.dispatchedAt, s.now-p.dispatchedAt, p.ID)
 				pr.ProcDone(s.now, p.ID)
 			}
-			// Hand control to the next scheduled process directly; this
-			// goroutine is finished and never parks again.
-			if next := s.popNext(); next != nil {
-				next.resume <- struct{}{}
-			} else {
-				s.suspend()
-			}
+			// Name the successor; the coroutine ends here.
+			s.handoff = s.popNext()
 		}()
 		defer func() {
 			r := recover()
@@ -414,7 +419,7 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 		if !p.killed {
 			fn(p)
 		}
-	}()
+	})
 	s.schedule(p, s.now)
 	if pr := e.probe; pr != nil {
 		p.parkedAt = s.now
@@ -542,7 +547,7 @@ func (s *sched) popNext() *Proc {
 	}
 	if s.eng.interrupted.Load() {
 		// The run is being torn down: every process dies at its dispatch
-		// point (the same unwind path Kill uses), so the event chain drains
+		// point (the same unwind path Kill uses), so the event queue drains
 		// instead of executing further user code.
 		p.killed = true
 		p.exited = true
@@ -558,14 +563,16 @@ func (s *sched) popNext() *Proc {
 	return p
 }
 
-// suspend returns control to Run when the partition has no dispatchable
-// event left: the classic engine is simply finished; a partitioned one
-// notifies the coordinator that this partition drained its window.
-func (s *sched) suspend() {
-	if s.eng.windowed {
-		s.eng.drained <- s
-	} else {
-		s.eng.done <- struct{}{}
+// run is the partition's dispatch loop. Starting from p, a process popNext
+// has already dispatched, it resumes one process coroutine at a time; each
+// names its successor in s.handoff when it parks or finishes. The loop
+// returns once nothing in the window can be dispatched.
+func (s *sched) run(p *Proc) {
+	for p != nil {
+		if _, ok := p.next(); !ok {
+			p.next, p.yield = nil, nil // drop the finished body's closure
+		}
+		p, s.handoff = s.handoff, nil
 	}
 }
 
@@ -584,14 +591,10 @@ func (e *Engine) Run() error {
 	if e.windowed {
 		e.runWindows()
 	} else {
-		// Dispatch is a chain of direct goroutine-to-goroutine handoffs: each
-		// parking process resumes the next scheduled one itself, and control
-		// returns here only when the event queue is empty.
+		// One dispatch loop on the caller's goroutine resumes the process
+		// coroutines until the event queue is empty.
 		s := e.scheds[0]
-		if first := s.popNext(); first != nil {
-			first.resume <- struct{}{}
-			<-e.done
-		}
+		s.run(s.popNext())
 	}
 	e.trapMu.Lock()
 	trapped := e.trapped
@@ -640,21 +643,16 @@ func (e *Engine) release() {
 				s.kill(p)
 			}
 		}
-		s.popNext().resume <- struct{}{}
-		if e.windowed {
-			<-e.drained
-		} else {
-			<-e.done
-		}
+		s.run(s.popNext())
 		s.now, s.stats = now, stats
 	}
 	e.probe = pr
 }
 
-// park suspends the calling process and transfers control to the next
-// scheduled event. If that event is the caller's own (the common case on an
-// uncontended timeline), the clock advances in place with no goroutine
-// switch at all.
+// park suspends the calling process and names the next scheduled event's
+// process as its successor for the dispatch loop. If that event is the
+// caller's own (the common case on an uncontended timeline), the clock
+// advances in place with no coroutine switch at all.
 func (p *Proc) park() {
 	s := p.sd
 	s.stats.Parks++
@@ -670,12 +668,8 @@ func (p *Proc) park() {
 		}
 		return // own event is next: no context switch needed
 	}
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		s.suspend()
-	}
-	<-p.resume
+	s.handoff = next
+	p.yield(struct{}{})
 	if p.killed && !p.finishing {
 		panic(errExit) // killed while parked: die at the resumption point
 	}
@@ -823,7 +817,7 @@ func (p *Proc) Exit() {
 // InterruptError is returned by Run when the simulation was stopped early via
 // Interrupt (a job timeout or cancellation, not anything the simulated
 // machine did). Live counts the processes that had not completed when the
-// event chain drained; Run unwinds them before it returns, as it does the
+// event queue drained; Run unwinds them before it returns, as it does the
 // blocked processes of a deadlock, so an interrupted engine holds no
 // goroutine and can simply be dropped.
 type InterruptError struct {
@@ -840,7 +834,7 @@ func (e *InterruptError) Error() string {
 // It is the one engine entry point that is safe to call from any goroutine
 // at any time: the lab calls it when a job's context ends, to bound the
 // job's wall-clock time or to cancel it. Every process subsequently dispatched dies
-// immediately (via the Kill unwind path) so the pending-event chain drains
+// immediately (via the Kill unwind path) so the pending-event queue drains
 // quickly; Run then returns an *InterruptError. Interrupting an engine that
 // has already finished is a no-op.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }

@@ -170,6 +170,111 @@ func TestTerminatorPanicCompletesProcess(t *testing.T) {
 	}
 }
 
+// TestUntrappedPanicReachesRunCaller: without TrapPanics, a real panic in a
+// body is re-raised in the goroutine that called Run, and Run still unwinds
+// the processes left parked, deferred cleanup included, on the way out:
+// blocked ones, and the ready one the panicking body named its successor.
+func TestUntrappedPanicReachesRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	cleaned := 0
+	for i := 0; i < 2; i++ {
+		e.Spawn("stuck", i, func(p *Proc) {
+			defer func() { cleaned++ }()
+			p.Block("forever")
+		})
+	}
+	e.Spawn("ticker", 2, func(p *Proc) {
+		defer func() { cleaned++ }()
+		for i := 0; i < 100; i++ {
+			p.Advance(5)
+		}
+	})
+	e.Spawn("panicker", 3, func(p *Proc) {
+		p.Advance(10)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = e.Run()
+	}()
+	if got != "boom" {
+		t.Errorf("Run's caller recovered %v, want the body's panic value", got)
+	}
+	if cleaned != 3 {
+		t.Errorf("%d of 3 parked processes ran their deferred cleanup", cleaned)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after Run, %d before", n, before)
+	}
+}
+
+// TestGoexitEndsRunCaller: a body's runtime.Goexit (t.Fatal in a test
+// body) ends the goroutine that called Run, so Run never returns; the
+// processes left parked are still unwound on the way out.
+func TestGoexitEndsRunCaller(t *testing.T) {
+	e := New()
+	cleaned := 0
+	e.Spawn("stuck", 0, func(p *Proc) {
+		defer func() { cleaned++ }()
+		p.Block("forever")
+	})
+	e.Spawn("quitter", 1, func(p *Proc) {
+		p.Advance(10)
+		runtime.Goexit()
+	})
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_ = e.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Error("Run returned after a body called runtime.Goexit")
+	}
+	if cleaned != 1 {
+		t.Error("the parked process was not unwound")
+	}
+}
+
+// TestFinishedBodyIsCollected: a finished process drops its body, so what
+// only the body captured is garbage while the engine is still reachable.
+func TestFinishedBodyIsCollected(t *testing.T) {
+	e := New()
+	collected := make(chan struct{})
+	func() {
+		captured := new([64]byte)
+		runtime.SetFinalizer(captured, func(*[64]byte) { close(collected) })
+		e.Spawn("holder", 0, func(p *Proc) {
+			p.Advance(1)
+			captured[0]++
+		})
+	}()
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	gone := false
+	for i := 0; i < 20 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(e)
+	if !gone {
+		t.Error("a finished body's captured object outlived it while the engine was reachable")
+	}
+}
+
 func TestWaitQueueSkipsKilledWaiters(t *testing.T) {
 	e := New()
 	q := NewWaitQueue("test")

@@ -10,12 +10,12 @@ package sim
 //
 // where globalMin is the earliest pending event across all partitions. Every
 // partition executes its own events inside the window concurrently — its
-// processes run exactly as on the classic engine, as a chain of direct
-// goroutine handoffs — and a partition that interacts with state owned by
-// another partition does so only through Proc.Exchange, which parks the
-// process until the window barrier. At the barrier the coordinator services
-// all exchanges of the window in (issue time, process ID) order and resumes
-// each requester no earlier than the window end.
+// processes run exactly as on the classic engine, as coroutines resumed by
+// the partition's own dispatch loop — and a partition that interacts with
+// state owned by another partition does so only through Proc.Exchange, which
+// parks the process until the window barrier. At the barrier the coordinator
+// services all exchanges of the window in (issue time, process ID) order and
+// resumes each requester no earlier than the window end.
 //
 // Why results are independent of the partition count:
 //
@@ -155,22 +155,23 @@ func (e *Engine) runWindows() {
 		t0 := time.Now()
 		if concurrent && len(active) > 1 {
 			for _, s := range active {
-				first := s.popNext()
-				first.resume <- struct{}{}
+				go func(s *sched) {
+					// Deferred, so a body's Goexit cannot strand the barrier.
+					defer func() { e.drained <- s }()
+					s.run(s.popNext())
+					s.drainedAt = int64(time.Since(t0))
+				}(s)
 			}
 			for range active {
-				s := <-e.drained
-				s.drainedAt = int64(time.Since(t0))
+				<-e.drained
 			}
 		} else {
 			for _, s := range active {
 				// Per-sched stopwatch: measuring from t0 would fold every
 				// earlier partition's drain into this one's busy time.
 				ds := time.Now()
-				first := s.popNext()
-				first.resume <- struct{}{}
-				sd := <-e.drained
-				sd.drainedAt = int64(time.Since(ds))
+				s.run(s.popNext())
+				s.drainedAt = int64(time.Since(ds))
 			}
 		}
 		execNs := int64(time.Since(t0))
