@@ -195,9 +195,7 @@ func RunUS(cfg USConfig) (Result, error) {
 	}
 	_ = u
 	var memWait, netWait int64
-	for _, nd := range m.Nodes {
-		memWait += nd.Mem.Stats().WaitNs
-	}
+	m.EachBuiltNode(func(nd *machine.Node) { memWait += nd.Mem.Stats().WaitNs })
 	netWait = m.Net.Stats().ContentionNs
 	x := backSubstitute(a, bvec)
 	return Result{

@@ -302,12 +302,12 @@ func TestOwnershipReclamation(t *testing.T) {
 	if err := m.E.Run(); err != nil {
 		t.Fatal(err)
 	}
-	free := os.M.Nodes[0].Mem.BytesFree()
+	free := os.M.Node(0).Mem.BytesFree()
 	os.DestroyProcess(nil, pr)
 	if os.Lookup(child.ID) != nil {
 		t.Error("child object survived parent deletion")
 	}
-	if got := os.M.Nodes[0].Mem.BytesFree(); got != free+1024 {
+	if got := os.M.Node(0).Mem.BytesFree(); got != free+1024 {
 		t.Errorf("storage not reclaimed: %d -> %d", free, got)
 	}
 }

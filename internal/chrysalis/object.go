@@ -102,7 +102,7 @@ func (os *OS) MakeObj(p *sim.Proc, node, size int, owner *Object) (*Object, erro
 	}
 	off := 0
 	if rounded > 0 {
-		off, err = os.M.Nodes[node].Mem.Alloc(rounded)
+		off, err = os.M.Node(node).Mem.Alloc(rounded)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func (os *OS) DeleteObj(p *sim.Proc, o *Object) {
 	o.children = nil
 	if o.Kind == KindMemory && o.Size > 0 {
 		// Best effort; double frees cannot happen because deleted is set.
-		_ = os.M.Nodes[o.Node].Mem.Free(o.Off, o.Size)
+		_ = os.M.Node(o.Node).Mem.Free(o.Off, o.Size)
 	}
 	delete(os.objects, o.ID)
 }

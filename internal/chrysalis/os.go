@@ -138,7 +138,7 @@ func (os *OS) MakeProcess(creator *sim.Proc, name string, node, nSegs int, body 
 				wait+os.Costs.ProcCreateSerial+os.Costs.ProcCreateLocal)
 		}
 	}
-	as, err := memory.NewAddressSpace(os.M.Nodes[node].SARs, nSegs)
+	as, err := memory.NewAddressSpace(os.M.Node(node).SARs, nSegs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTooManyProcesses, err)
 	}

@@ -794,7 +794,7 @@ func (j *Journal) AppendReplica(r core.JournalRecord) error {
 // durability watermark to j.rec. Its two fsyncs are the only ones the
 // journal issues under j.mu, once every CompactEvery records.
 func (j *Journal) compactLocked() error {
-	b, err := json.MarshalIndent(j.stateLocked(), "", "  ")
+	b, err := json.Marshal(j.stateLocked())
 	if err != nil {
 		return fmt.Errorf("lab: journal compact: %w", err)
 	}

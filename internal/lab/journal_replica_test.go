@@ -375,8 +375,9 @@ func TestReplicaConvergesToPrimaryImage(t *testing.T) {
 		t.Fatalf("snapshot.json differs:\nprimary  %s\nfollower %s", primSnap, folSnap)
 	}
 
-	// The same image in the older on-disk form (epoch after the tables, and
-	// the membership table older coordinators kept) opens to the same state.
+	// The same image in the older on-disk form (indented, epoch after the
+	// tables, and the membership table older coordinators kept) opens to the
+	// same state.
 	old := struct {
 		Schema  string              `json:"schema"`
 		Rec     int64               `json:"rec"`

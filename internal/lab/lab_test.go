@@ -326,6 +326,24 @@ func BenchmarkCacheGet(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSpecNumaGrid times one cold point of the sweep grid the
+// benchmark's single-node workload submits: quick numa over 4 presets × 4
+// topologies × 16–1,039 nodes, visited with a stride so consecutive points
+// differ in every axis.
+func BenchmarkRunSpecNumaGrid(b *testing.B) {
+	presets := []string{"", "b1", "bfp", "bplus"}
+	topologies := []string{"butterfly", "fattree", "dragonfly", "mesh"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i * 7919
+		spec := core.Spec{Experiment: "numa", Quick: true, Preset: presets[k%4],
+			Topology: topologies[k/4%4], Nodes: 16 + k/16%1024}
+		if _, err := RunSpec(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSchedulerParallelDeterminism is the tentpole invariant: running
 // experiments concurrently on the worker pool yields the golden tables and
 // trajectories that one sequential run of the registry pinned. Run under

@@ -111,12 +111,22 @@ type Node struct {
 	SARs *memory.SARPool
 }
 
+// nodeChunk is how many nodes' state is built together: the first reference
+// to a node builds its whole chunk.
+const nodeChunk = 32
+
 // Machine is the assembled Butterfly.
 type Machine struct {
-	E     *sim.Engine
-	Net   switchnet.Interconnect
-	Nodes []*Node
-	Cfg   Config
+	E   *sim.Engine
+	Net switchnet.Interconnect
+	Cfg Config
+
+	// chunks holds node state nodeChunk nodes at a time; a nil chunk has
+	// never been touched. Node state is built on first reference, so a run
+	// that reads two nodes of a 1,039-node machine builds two chunks.
+	// Partitioned machines build every chunk in New (concurrent windows
+	// must not race on chunk creation).
+	chunks [][]Node
 
 	// comb, when non-nil, is the combining fetch-and-add layer over Net's
 	// link calendars; Atomic traffic routes through it (Config.Combining).
@@ -154,16 +164,14 @@ type Machine struct {
 // AttachProbe threads an observability probe through every layer of the
 // machine: the engine (dispatch/park/flush events), the switch network
 // (port traversals), and each node's memory module (reference occupancy and
-// queueing). Pass nil to detach. Probes are purely observational — virtual
+// queueing), including modules built after the call. Pass nil to detach. Probes are purely observational — virtual
 // time, dispatch order, and all statistics are unaffected — and a detached
 // probe costs each hot path one nil check.
 func (m *Machine) AttachProbe(p *probe.Probe) {
 	m.probe = p
 	m.E.SetProbe(p)
 	m.Net.SetProbe(p)
-	for _, n := range m.Nodes {
-		n.Mem.SetProbe(p)
-	}
+	m.EachBuiltNode(func(n *Node) { n.Mem.SetProbe(p) })
 }
 
 // Probe returns the attached probe, or nil. Layers above the machine
@@ -191,7 +199,7 @@ func (m *Machine) AttachFaults(f *fault.Injector) {
 	}
 	m.faults = f
 	f.Bind(m.E, m.Cfg.Nodes, func(node int) {
-		m.Nodes[node].Mem.SetFailed(true)
+		m.Node(node).Mem.SetFailed(true)
 	})
 }
 
@@ -311,15 +319,11 @@ func New(cfg Config) *Machine {
 	} else {
 		m.scr = make([]sweepScratch, 1)
 	}
-	// Node state is allocated as one slice per kind, so construction costs
-	// the same handful of allocations at any node count.
-	nodes := make([]Node, cfg.Nodes)
-	mods := memory.NewModules(0, cfg.Nodes, cfg.MemBytes, cfg.MemCycleNs)
-	sars := memory.NewSARPools(cfg.Nodes)
-	m.Nodes = make([]*Node, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = Node{ID: i, Mem: &mods[i], SARs: &sars[i]}
-		m.Nodes[i] = &nodes[i]
+	m.chunks = make([][]Node, (cfg.Nodes+nodeChunk-1)/nodeChunk)
+	if m.parts > 0 {
+		for c := range m.chunks {
+			m.buildChunk(c)
+		}
 	}
 	m.wordTransit = m.fixedTransitNs(wordBytes)
 	if scope != nil && scope.onNew != nil {
@@ -361,12 +365,44 @@ func (m *Machine) statsFor(p *sim.Proc) *Stats {
 // N returns the number of nodes.
 func (m *Machine) N() int { return m.Cfg.Nodes }
 
-// node validates and returns a node index's descriptor.
-func (m *Machine) node(i int) *Node {
-	if i < 0 || i >= len(m.Nodes) {
-		panic(fmt.Sprintf("machine: node %d out of range 0..%d", i, len(m.Nodes)-1))
+// Node validates a node index and returns its descriptor, building the
+// node's chunk when nothing has touched it yet.
+func (m *Machine) Node(i int) *Node {
+	if i < 0 || i >= m.Cfg.Nodes {
+		panic(fmt.Sprintf("machine: node %d out of range 0..%d", i, m.Cfg.Nodes-1))
 	}
-	return m.Nodes[i]
+	nodes := m.chunks[i/nodeChunk]
+	if nodes == nil {
+		nodes = m.buildChunk(i / nodeChunk)
+	}
+	return &nodes[i%nodeChunk]
+}
+
+// buildChunk builds the state of chunk c's nodes, attaching the machine's
+// probe if one is attached.
+func (m *Machine) buildChunk(c int) []Node {
+	first := c * nodeChunk
+	n := min(nodeChunk, m.Cfg.Nodes-first)
+	mods := memory.NewModules(first, n, m.Cfg.MemBytes, m.Cfg.MemCycleNs)
+	sars := memory.NewSARPools(n)
+	nodes := make([]Node, n)
+	for i := range nodes {
+		mods[i].SetProbe(m.probe)
+		nodes[i] = Node{ID: first + i, Mem: &mods[i], SARs: &sars[i]}
+	}
+	m.chunks[c] = nodes
+	return nodes
+}
+
+// EachBuiltNode calls f on every node whose state has been built, in index
+// order. A node never touched has an idle, empty module, so walks that
+// prune calendars or sum module statistics may skip it.
+func (m *Machine) EachBuiltNode(f func(*Node)) {
+	for _, c := range m.chunks {
+		for i := range c {
+			f(&c[i])
+		}
+	}
 }
 
 // wordBytes is the transfer unit of the reference API.
@@ -411,9 +447,7 @@ func (m *Machine) maybePrune() {
 	if m.comb != nil {
 		m.comb.Prune(m.lastPrune)
 	}
-	for _, n := range m.Nodes {
-		n.Mem.Prune(m.lastPrune)
-	}
+	m.EachBuiltNode(func(n *Node) { n.Mem.Prune(m.lastPrune) })
 }
 
 // pruneAtBarrier is the partitioned machine's calendar pruning, installed as
@@ -430,9 +464,7 @@ func (m *Machine) pruneAtBarrier(windowStart int64) {
 	if m.comb != nil {
 		m.comb.Prune(windowStart)
 	}
-	for _, n := range m.Nodes {
-		n.Mem.Prune(windowStart)
-	}
+	m.EachBuiltNode(func(n *Node) { n.Mem.Prune(windowStart) })
 }
 
 // Read charges p for reading words 32-bit words from the memory of the given
@@ -462,7 +494,7 @@ func (m *Machine) access(p *sim.Proc, node, words int) {
 	if faulty {
 		m.preFault(p, node)
 	}
-	n := m.node(node)
+	n := m.Node(node)
 	if node == p.Node {
 		// Local: processor overhead once, then the module streams the words.
 		m.statsFor(p).LocalRefs++
@@ -533,7 +565,7 @@ func (m *Machine) BlockCopy(p *sim.Proc, src, dst, words int) {
 			m.preFault(p, dst)
 		}
 	}
-	sn, dn := m.node(src), m.node(dst)
+	sn, dn := m.Node(src), m.Node(dst)
 	if m.parts > 0 && (src != p.Node || dst != p.Node) {
 		m.exchangeBlockCopy(p, sn, dn, words)
 		return
@@ -599,7 +631,7 @@ func (m *Machine) AtomicWord(p *sim.Proc, node, word int) {
 	if faulty {
 		m.preFault(p, node)
 	}
-	n := m.node(node)
+	n := m.Node(node)
 	if node == p.Node {
 		m.statsFor(p).AtomicOps++
 		now := p.Now()
@@ -703,7 +735,7 @@ func (m *Machine) Sweep(p *sim.Proc, items int, computeNs int64, refs []Ref) {
 	// module and open its batch once, outside the item loop.
 	mods := scr.refMods[:0]
 	for _, r := range refs {
-		mod := m.node(r.Node).Mem
+		mod := m.Node(r.Node).Mem
 		mods = append(mods, mod)
 		if r.Words > 0 && !mod.InBatch() {
 			mod.BeginBatch()
@@ -777,7 +809,7 @@ func (m *Machine) Microcode(p *sim.Proc, node int, busyNs int64) {
 	if faulty {
 		m.preFault(p, node)
 	}
-	n := m.node(node)
+	n := m.Node(node)
 	words := int(busyNs / m.Cfg.MemCycleNs)
 	if words < 1 {
 		words = 1
@@ -824,7 +856,7 @@ func (m *Machine) Flops(p *sim.Proc, n int) {
 // Spawn creates a simulated process bound to a node. It is a thin wrapper
 // over the engine that validates the node index.
 func (m *Machine) Spawn(name string, node int, fn func(p *sim.Proc)) *sim.Proc {
-	m.node(node)
+	m.Node(node)
 	return m.E.Spawn(name, node, fn)
 }
 

@@ -173,7 +173,7 @@ func TestBadNodePanics(t *testing.T) {
 		}
 	}()
 	m := New(DefaultConfig(4))
-	m.node(4)
+	m.Node(4)
 }
 
 func TestSpawnValidatesNode(t *testing.T) {
@@ -300,7 +300,7 @@ func TestBlockCopyBooksDestinationAtItsOwnCycle(t *testing.T) {
 	copyElapsed := func(slowDst bool) (elapsed int64, m *Machine) {
 		m = New(DefaultConfig(4))
 		if slowDst {
-			m.Nodes[2].Mem.CycleNs = 2 * m.Cfg.MemCycleNs
+			m.Node(2).Mem.CycleNs = 2 * m.Cfg.MemCycleNs
 		}
 		elapsed = run(t, m, 0, func(p *sim.Proc) { m.BlockCopy(p, 1, 2, words) })
 		return elapsed, m
@@ -315,10 +315,10 @@ func TestBlockCopyBooksDestinationAtItsOwnCycle(t *testing.T) {
 	// The copy finished at virtual time `elapsed`; probe both destination
 	// modules at a time inside the slow window but before the fast one.
 	probe := fastElapsed - int64(words)*fast.Cfg.MemCycleNs - 50_000
-	if start, _ := fast.Nodes[2].Mem.Service(probe, 1, false); start != probe {
+	if start, _ := fast.Node(2).Mem.Service(probe, 1, false); start != probe {
 		t.Errorf("fast destination did not backfill: start %d, want %d", start, probe)
 	}
-	if start, _ := slow.Nodes[2].Mem.Service(probe, 1, false); start != fastElapsed {
+	if start, _ := slow.Node(2).Mem.Service(probe, 1, false); start != fastElapsed {
 		t.Errorf("slow destination window wrong: probe start %d, want %d", start, fastElapsed)
 	}
 }

@@ -151,7 +151,7 @@ func (m *Machine) sweepBook(start int64, home int, items int, computeNs int64, r
 	lead := m.Cfg.PNCOverheadNs + m.wordTransit
 	mods := scr.refMods[:0]
 	for _, r := range refs {
-		mod := m.node(r.Node).Mem
+		mod := m.Node(r.Node).Mem
 		mods = append(mods, mod)
 		if r.Words > 0 && !mod.InBatch() {
 			mod.BeginBatch()

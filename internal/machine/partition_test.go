@@ -62,7 +62,8 @@ func machineWorkload(t *testing.T, seed int64, parts int, contended bool) uint64
 	for _, tr := range traces {
 		fmt.Fprintf(h, "%#x\n", tr)
 	}
-	for _, n := range m.Nodes {
+	for i := 0; i < m.N(); i++ {
+		n := m.Node(i)
 		ms := n.Mem.Stats()
 		fmt.Fprintf(h, "mod%d %d %d %d %d %d\n", n.ID, ms.LocalWords, ms.RemoteWords, ms.WaitNs, ms.LocalWaitNs, ms.RemoteWaitNs)
 	}

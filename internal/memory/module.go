@@ -57,9 +57,9 @@ func NewModule(node int, size int, cycleNs int64) *Module {
 }
 
 // NewModules creates n modules of the given capacity for nodes first..first+n-1.
-// A machine builds all its modules with one call: the modules, their
-// allocators, and the allocators' initial free spans are one slice each,
-// so construction costs a constant number of allocations at any node count.
+// The modules, their allocators, and the allocators' initial free spans are
+// one slice each, so a call costs three allocations whatever n is. A machine
+// calls it once per chunk of nodes, when the chunk is first touched.
 func NewModules(first, n, size int, cycleNs int64) []Module {
 	mods := make([]Module, n)
 	allocs := make([]FirstFit, n)

@@ -68,7 +68,8 @@ type SARPool struct {
 func NewSARPool() *SARPool { return &NewSARPools(1)[0] }
 
 // NewSARPools creates n full pools with a constant number of allocations:
-// the pools and their initial free lists are one slice each.
+// the pools and their initial free lists are one slice each. A machine calls
+// it once per chunk of nodes, when the chunk is first touched.
 func NewSARPools(n int) []SARPool {
 	const perPool = SARsPerNode / MaxSARBlock // 512 = 2 blocks of 256
 	pools := make([]SARPool, n)
