@@ -69,7 +69,6 @@ func main() {
 		faults     = flag.String("faults", "", "fault schedule: directives like 'seed 7; drop 0.001; kill 5 @ 10ms', or @file to read one")
 		faultSeed  = flag.Uint64("fault-seed", 0, "override the fault schedule's random seed (requires -faults)")
 		server     = flag.String("server", "", "run experiments on a remote butterflyd at this base URL instead of in-process")
-		partitions = flag.Int("partitions", 0, "run partitionable experiments on the parallel engine with this many partitions (results stay bit-identical)")
 		workloadFl = flag.String("workload", "", "workload directives for workload-driven experiments, e.g. 'pattern bursty; rate 6000; seed 7; duration 60ms'")
 		topology   = flag.String("topology", "", "interconnect family for every machine booted: butterfly (default), fattree, dragonfly, or mesh")
 		sloReport  = flag.Bool("slo-report", false, "print the full per-window SLO table for workload-driven experiments (sugar for the 'detail' workload directive)")
@@ -78,9 +77,6 @@ func main() {
 
 	// Everything about a spec is checked by Spec.Validate before the first
 	// run starts; these are the checks a spec cannot see.
-	if *partitions < 0 {
-		fail(fmt.Errorf("-partitions must be >= 0"))
-	}
 	if *parallel < 1 {
 		fail(fmt.Errorf("-parallel must be >= 1"))
 	}
@@ -107,19 +103,18 @@ func main() {
 	}
 
 	o := runOpts{
-		parallel:   *parallel,
-		cacheDir:   *cacheDir,
-		server:     *server,
-		quick:      *quick,
-		jsonOut:    *jsonOut,
-		timing:     *timing,
-		probe:      *probeOn || *traceOut != "",
-		traceOut:   *traceOut,
-		faults:     *faults,
-		partitions: *partitions,
-		workload:   *workloadFl,
-		topology:   *topology,
-		headers:    *all, // -all prints the banner between experiments
+		parallel: *parallel,
+		cacheDir: *cacheDir,
+		server:   *server,
+		quick:    *quick,
+		jsonOut:  *jsonOut,
+		timing:   *timing,
+		probe:    *probeOn || *traceOut != "",
+		traceOut: *traceOut,
+		faults:   *faults,
+		workload: *workloadFl,
+		topology: *topology,
+		headers:  *all, // -all prints the banner between experiments
 	}
 	// An explicit -fault-seed of 0 must not be confused with "flag absent":
 	// presence is what flag.Visit reports, so seed 0 works and garbage was
@@ -197,22 +192,21 @@ const (
 
 // runOpts bundles the switches one batch runs under.
 type runOpts struct {
-	backend    backend
-	parallel   int    // scheduler workers
-	cacheOn    bool   // scheduler: serve hits from the result cache
-	cacheDir   string // scheduler: result cache directory
-	server     string // remote: butterflyd base URL
-	quick      bool
-	jsonOut    bool
-	timing     bool
-	probe      bool
-	traceOut   string // in-process: Chrome trace-event output file
-	faults     string
-	faultSeed  *uint64
-	partitions int
-	workload   string
-	topology   string
-	headers    bool
+	backend   backend
+	parallel  int    // scheduler workers
+	cacheOn   bool   // scheduler: serve hits from the result cache
+	cacheDir  string // scheduler: result cache directory
+	server    string // remote: butterflyd base URL
+	quick     bool
+	jsonOut   bool
+	timing    bool
+	probe     bool
+	traceOut  string // in-process: Chrome trace-event output file
+	faults    string
+	faultSeed *uint64
+	workload  string
+	topology  string
+	headers   bool
 }
 
 // specFor builds the lab spec for one experiment. An override the
@@ -230,13 +224,6 @@ func specFor(stderr io.Writer, e core.Experiment, o runOpts) core.Spec {
 	if o.faults != "" && e.ManagesFaults {
 		fmt.Fprintf(stderr, "butterflybench: note: %s manages its own faults; -faults ignored for it\n", e.ID)
 		spec.Faults, spec.FaultSeed = "", nil
-	}
-	if o.partitions > 0 {
-		if e.Partitionable {
-			spec.Partitions = o.partitions
-		} else {
-			fmt.Fprintf(stderr, "butterflybench: note: %s is not partitionable; -partitions ignored for it\n", e.ID)
-		}
 	}
 	if o.workload != "" {
 		if e.WorkloadDriven {
@@ -422,7 +409,7 @@ func run(stdout, stderr io.Writer, exps []core.Experiment, o runOpts) error {
 
 // writeTiming reports how fast the simulator ran one experiment to w.
 // machines, known only in-process, adds the per-engine counters: parks,
-// lazy flushes, maximum heap depth, and one line per partition.
+// lazy flushes, and maximum heap depth.
 func writeTiming(w io.Writer, id string, res *core.Result, machines []*machine.Machine) {
 	served := "miss"
 	if res.CacheHit {
@@ -443,22 +430,6 @@ func writeTiming(w io.Writer, id string, res *core.Result, machines []*machine.M
 		line += fmt.Sprintf(" parks=%d lazyflushes=%d maxheap=%d", parks, flushes, maxHeap)
 	}
 	fmt.Fprintln(w, line)
-	for mi, m := range machines {
-		pts := m.E.PartitionTimings()
-		if pts == nil {
-			continue
-		}
-		windows, barrierNs := m.E.WindowStats()
-		fmt.Fprintf(w, "[timing] %-10s machine %d: %d partitions, %d windows, barrier=%s\n",
-			id, mi, len(pts), windows, time.Duration(barrierNs).Round(time.Microsecond))
-		for _, pt := range pts {
-			fmt.Fprintf(w, "[timing] %-10s   partition %-2d events=%-9d compute=%-12s sync-wait=%-12s idle=%s\n",
-				id, pt.ID, pt.Events,
-				time.Duration(pt.BusyNs).Round(time.Microsecond),
-				time.Duration(pt.SyncWaitNs).Round(time.Microsecond),
-				time.Duration(pt.IdleNs).Round(time.Microsecond))
-		}
-	}
 }
 
 // writeTrace merges every traced machine's event stream into one Chrome

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"regexp"
+	"strings"
 	"testing"
 
 	"butterfly/internal/core"
@@ -34,7 +35,6 @@ func TestBackendsAgree(t *testing.T) {
 		{"hotspot-faults", "hotspot", runOpts{faults: "seed 7; drop 0.002"}},
 		{"hotspot-fault-seed", "hotspot", runOpts{faults: "seed 1; drop 0.002", faultSeed: &seed}},
 		{"service-workload", "service", runOpts{workload: "pattern bursty; rate 3000; seed 3"}},
-		{"pgauss-partitions", "pgauss", runOpts{partitions: 2}},
 		{"numa-fattree", "numa", runOpts{topology: "fattree"}},
 		// degrade manages its own faults: -faults must be ignored on every
 		// backend, not just the ones that go through a scheduler.
@@ -93,7 +93,7 @@ func TestManagedFaultsIgnored(t *testing.T) {
 // TestValidateBeforeRun: a flag set some spec rejects fails the whole batch
 // before any experiment prints.
 func TestValidateBeforeRun(t *testing.T) {
-	numa, pgauss := experiment("numa"), experiment("pgauss")
+	numa := experiment("numa")
 	seed := uint64(0)
 	cases := []struct {
 		name string
@@ -102,7 +102,6 @@ func TestValidateBeforeRun(t *testing.T) {
 	}{
 		{"bad-faults", []core.Experiment{numa}, runOpts{faults: "drop lots"}},
 		{"seed-without-faults", []core.Experiment{numa}, runOpts{faultSeed: &seed}},
-		{"faults-and-partitions", []core.Experiment{numa, pgauss}, runOpts{faults: "drop 0.001", partitions: 2}},
 		{"bad-workload", []core.Experiment{experiment("service")}, runOpts{workload: "pattern sideways"}},
 		{"bad-topology", []core.Experiment{numa}, runOpts{topology: "torus"}},
 	}
@@ -118,23 +117,21 @@ func TestValidateBeforeRun(t *testing.T) {
 	}
 }
 
-// TestTimingReportsPartitions: -timing is the one place partition scaling is
-// measured, so a partitioned in-process run must report its machine's
-// windows and barrier time and one line per partition.
-func TestTimingReportsPartitions(t *testing.T) {
+// TestTimingReportsEngineCounters: an in-process -timing run reports, on
+// stderr, one line per experiment that carries the engine counters only an
+// in-process run can read, and leaves stdout to the table.
+func TestTimingReportsEngineCounters(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	o := runOpts{quick: true, timing: true, partitions: 2}
-	if err := run(&stdout, &stderr, []core.Experiment{experiment("pgauss")}, o); err != nil {
+	o := runOpts{quick: true, timing: true}
+	if err := run(&stdout, &stderr, []core.Experiment{experiment("hotspot")}, o); err != nil {
 		t.Fatal(err)
 	}
-	for _, re := range []string{
-		`(?m)^\[timing\] pgauss +machine 0: 2 partitions, [1-9]\d* windows, barrier=\S+$`,
-		`(?m)^\[timing\] pgauss +partition 0 +events=[1-9]\d* +compute=`,
-		`(?m)^\[timing\] pgauss +partition 1 +events=[1-9]\d* +compute=`,
-	} {
-		if n := len(regexp.MustCompile(re).FindAllIndex(stderr.Bytes(), -1)); n != 1 {
-			t.Errorf("%d lines match %s in -timing output:\n%s", n, re, stderr.Bytes())
-		}
+	re := regexp.MustCompile(`(?m)^\[timing\] hotspot +wall=\S+ .* events=[1-9]\d* .* parks=[1-9]\d* lazyflushes=\d+ maxheap=[1-9]\d*$`)
+	if n := len(re.FindAllIndex(stderr.Bytes(), -1)); n != 1 {
+		t.Errorf("%d lines match %s in -timing output:\n%s", n, re, stderr.Bytes())
+	}
+	if strings.Contains(stdout.String(), "[timing]") {
+		t.Errorf("-timing wrote to stdout:\n%s", stdout.Bytes())
 	}
 }
 

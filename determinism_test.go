@@ -35,13 +35,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
-// partitionsFlag reruns the whole suite with every partitionable
-// experiment's machines raised to this partition count (the CI matrix runs
-// it at 1, 2, and 4 under -race). Both goldens are partition-count
-// independent — that is the partitioned engine's core invariant — so no
-// separate golden exists per count.
-var partitionsFlag = flag.Int("partitions", 0, "override partition count for partitionable experiments")
-
 // quickRun runs one experiment at quick scale, with transform applied to
 // and attach arming every machine it builds (either may be nil: attach
 // takes a probe or a fault injector), and returns its table and engines.
@@ -74,23 +67,18 @@ func trajectory(id string, engines []*sim.Engine) string {
 	return fmt.Sprintf("%s machines=%d vtime=%d events=%d", id, len(engines), vtime, events)
 }
 
-// runRegistry runs every experiment once at quick scale, under -partitions,
-// with arm(e) (when arm is non-nil) arming each of e's machines, and
+// runRegistry runs every experiment once at quick scale, with arm(e) (when arm is non-nil) arming each of e's machines, and
 // returns what the two goldens hold: the trajectory lines and the
 // `-all -quick` output.
 func runRegistry(t *testing.T, arm func(core.Experiment) func(*machine.Machine)) (fps, out string) {
 	t.Helper()
-	var transform func(machine.Config) machine.Config
-	if *partitionsFlag > 0 {
-		transform = core.Spec{Partitions: *partitionsFlag}.ConfigTransform()
-	}
 	var f, o strings.Builder
 	for _, e := range core.Experiments() {
 		var attach func(*machine.Machine)
 		if arm != nil {
 			attach = arm(e)
 		}
-		table, engines := quickRun(t, e, transform, attach)
+		table, engines := quickRun(t, e, nil, attach)
 		fmt.Fprintln(&f, trajectory(e.ID, engines))
 		fmt.Fprintf(&o, "\n===== %s: %s =====\npaper: %s\n\n%s", e.ID, e.Title, e.Paper, table)
 	}

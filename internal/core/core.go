@@ -69,13 +69,6 @@ type Experiment struct {
 	// they honor a workload directive string (Spec.Workload,
 	// `butterflybench -workload`) overlaid on their default traffic config.
 	WorkloadDriven bool
-	// Partitionable marks experiments written for the partitioned parallel
-	// engine: all processes spawned before Run, no cross-node wakes, no Go
-	// state shared between nodes. Only these accept a partition-count
-	// override (Spec.Partitions, `butterflybench -partitions`); their
-	// machines opt in by setting machine.Config.Partitions >= 1, and their
-	// results are bit-identical at every partition count.
-	Partitionable bool
 }
 
 // registry is populated by experiments.go.

@@ -42,8 +42,8 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5", "numa", "hough", "spread", "hotspot", "switch", "prims", "darpa",
 		"crowd", "alloc", "replay", "bridge", "connect", "speedups", "fig6",
 		"sarcache", "models", "vision", "rpc", "psyche", "search", "pedagogy",
-		"degrade", "service", "saturate", "calibrate", "brownout", "pgauss",
-		"phot", "streamnuma", "combine",
+		"degrade", "service", "saturate", "calibrate", "brownout", "streamnuma",
+		"combine",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

@@ -46,12 +46,6 @@ type Spec struct {
 	// WorkloadDriven; it changes the printed table, so it participates in
 	// the lab cache fingerprint.
 	Workload string `json:"workload,omitempty"`
-	// Partitions, when positive, runs the experiment's machines on the
-	// partitioned parallel engine with that many partitions. Valid only for
-	// experiments marked Partitionable; results are bit-identical at every
-	// partition count (including 1, the sequential reference), so this axis
-	// trades wall-clock time, never physics. Incompatible with Faults.
-	Partitions int `json:"partitions,omitempty"`
 	// Topology, when non-empty, rebuilds every machine the experiment boots
 	// on the named interconnect family: "butterfly" (the default machine),
 	// "fattree", "dragonfly", or "mesh". The link calibration (hop latency,
@@ -108,18 +102,6 @@ func (s Spec) Validate() error {
 	if s.Nodes < 0 {
 		return fmt.Errorf("spec: nodes must be >= 0, got %d", s.Nodes)
 	}
-	if s.Partitions < 0 {
-		return fmt.Errorf("spec: partitions must be >= 0, got %d", s.Partitions)
-	}
-	if s.Partitions > 0 {
-		exp, _ := Lookup(s.Experiment)
-		if !exp.Partitionable {
-			return fmt.Errorf("spec: experiment %q is not partitionable", s.Experiment)
-		}
-		if s.Faults != "" {
-			return fmt.Errorf("spec: faults and partitions are incompatible (fault injection needs the sequential engine)")
-		}
-	}
 	if s.Faults != "" {
 		if _, err := fault.ParseConfig(s.Faults); err != nil {
 			return fmt.Errorf("spec: faults: %w", err)
@@ -171,7 +153,7 @@ func (s Spec) FaultConfig() (*fault.Config, error) {
 // package's scoped construction hooks), or nil when the spec requests no
 // override.
 func (s Spec) ConfigTransform() func(machine.Config) machine.Config {
-	if s.Preset == "" && s.Nodes == 0 && s.Partitions == 0 && s.Topology == "" {
+	if s.Preset == "" && s.Nodes == 0 && s.Topology == "" {
 		return nil
 	}
 	return func(c machine.Config) machine.Config {
@@ -185,20 +167,11 @@ func (s Spec) ConfigTransform() func(machine.Config) machine.Config {
 			// The contention shortcut is a per-experiment modelling choice,
 			// not a hardware property: preserve it.
 			out.NoSwitchContention = c.NoSwitchContention
-			out.Partitions = c.Partitions
 		} else if s.Nodes > 0 {
 			out.Nodes = nodes
 			// Force machine.New to re-derive the switch topology for the
 			// new node count.
 			out.Net = switchnet.Config{}
-		}
-		// The partition override only raises partitioning on machines the
-		// experiment already built partition-aware (Partitions >= 1): an
-		// experiment that opted out (a classic sequential machine) keeps
-		// its engine, so the override can never break a non-partition-safe
-		// program.
-		if s.Partitions > 0 && out.Partitions > 0 {
-			out.Partitions = s.Partitions
 		}
 		if s.Topology != "" {
 			// ParseTopology canonicalizes "" and "butterfly" to the same

@@ -26,11 +26,6 @@ func TestSpecValidate(t *testing.T) {
 		{"seed without faults", Spec{Experiment: "numa", FaultSeed: &seed}, "no effect without faults"},
 		{"negative timeout", Spec{Experiment: "numa", TimeoutMs: -1}, "timeout_ms"},
 		{"negative retries", Spec{Experiment: "numa", Retries: -1}, "retries"},
-		{"valid partitioned", Spec{Experiment: "pgauss", Partitions: 4}, ""},
-		{"negative partitions", Spec{Experiment: "pgauss", Partitions: -1}, "partitions must be"},
-		{"partitions on non-partitionable", Spec{Experiment: "numa", Partitions: 2}, "not partitionable"},
-		{"partitions with faults", Spec{Experiment: "pgauss", Partitions: 2,
-			Faults: "seed 7; drop 0.001"}, "incompatible"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -96,20 +91,6 @@ func TestSpecConfigTransform(t *testing.T) {
 	got = (Spec{Experiment: "numa", Preset: "bfp", Nodes: 64}).ConfigTransform()(base)
 	if got.Nodes != 64 {
 		t.Errorf("preset+nodes: got %d nodes", got.Nodes)
-	}
-
-	// Partitions is raise-only: it retunes machines already built for the
-	// partitioned model and must never drag a sequential-model experiment's
-	// machines (Partitions == 0) into windowed mode.
-	got = (Spec{Experiment: "pgauss", Partitions: 4}).ConfigTransform()(base)
-	if got.Partitions != 0 {
-		t.Errorf("partitions forced onto a sequential config: got %d", got.Partitions)
-	}
-	partitioned := base
-	partitioned.Partitions = 1
-	got = (Spec{Experiment: "pgauss", Partitions: 4}).ConfigTransform()(partitioned)
-	if got.Partitions != 4 {
-		t.Errorf("partitions not raised: got %d", got.Partitions)
 	}
 }
 

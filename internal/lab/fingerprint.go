@@ -33,11 +33,6 @@ const cacheSchema = "butterfly-lab-v1"
 // resolved to its parsed form so that two spellings of the same schedule
 // ("drop 0.001; seed 7" vs "seed 7; drop 0.001") address the same result.
 // Execution policy (timeout, retries) deliberately does not participate.
-// Neither does Spec.Partitions: the partitioned engine's results are
-// bit-identical at every partition count (the invariant the determinism
-// suite pins at -partitions 1/2/4 under -race), so a spec run at any
-// partition count addresses — and may be served by — the same cached
-// result.
 type canonicalSpec struct {
 	Schema     string        `json:"schema"`
 	Code       string        `json:"code"`

@@ -165,12 +165,12 @@ func TestFleetReassignsOnWorkerDeath(t *testing.T) {
 	a := startNode(t, "wA", coordURL, filepath.Join(t.TempDir(), "a"))
 	startNode(t, "wB", coordURL, filepath.Join(t.TempDir(), "b"))
 	waitFor(t, "2 workers on the ring", func() bool { return coord.Ring().Len() == 2 })
+	specs := append(sweepSpecs(10), specsOwnedBy(t, coord, "wA", 1)...)
 
 	// Kill A after it joined but before any dispatch: every job the ring
 	// places on it must fail over to B.
 	a.kill(t)
 
-	specs := sweepSpecs(10)
 	jobs := make([]*lab.Job, len(specs))
 	for i, spec := range specs {
 		job, err := sched.Submit(spec)
@@ -193,7 +193,7 @@ func TestFleetReassignsOnWorkerDeath(t *testing.T) {
 		}
 	}
 	if coord.Reassigned() == 0 {
-		t.Error("no job was reassigned — the dead worker owned none of 10 placements?")
+		t.Errorf("no job was reassigned — the dead worker owned none of %d placements?", len(specs))
 	}
 	waitFor(t, "ring to shrink to the survivor", func() bool { return coord.Ring().Len() == 1 })
 }
@@ -443,20 +443,24 @@ func (l *requestLog) snapshot() []string {
 }
 
 // specsOwnedBy returns quick numa specs, one per placement bucket, that the
-// coordinator's current ring places on worker id.
+// coordinator's current ring places on worker id. The buckets span node
+// counts and interconnect families, so which specs a worker owns depends on
+// the hash, but that it owns some of them does not.
 func specsOwnedBy(t *testing.T, c *Coordinator, id string, n int) []core.Spec {
 	t.Helper()
 	var specs []core.Spec
-	for nodes := 16; len(specs) < n; nodes *= 2 {
-		if nodes > 1<<12 {
-			t.Fatalf("only %d of %d placement buckets land on %s", len(specs), n, id)
-		}
-		spec := core.Spec{Experiment: "numa", Quick: true, Nodes: nodes}
-		if w, ok := c.pickOwner(PlacementKey(spec)); ok && w.ID == id {
-			specs = append(specs, spec)
+	for nodes := 16; nodes <= 1<<12; nodes *= 2 {
+		for _, topo := range []string{"", "fattree", "dragonfly", "mesh"} {
+			spec := core.Spec{Experiment: "numa", Quick: true, Nodes: nodes, Topology: topo}
+			if w, ok := c.pickOwner(PlacementKey(spec)); ok && w.ID == id {
+				if specs = append(specs, spec); len(specs) == n {
+					return specs
+				}
+			}
 		}
 	}
-	return specs
+	t.Fatalf("only %d of %d placement buckets land on %s", len(specs), n, id)
+	return nil
 }
 
 // runAll submits each spec to the coordinator's scheduler and checks its

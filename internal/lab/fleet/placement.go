@@ -25,8 +25,7 @@ func PlacementKey(spec core.Spec) string {
 	if spec.FaultSeed != nil {
 		seedBucket = 1 + *spec.FaultSeed/16
 	}
-	return fmt.Sprintf("%s|%s|%t|%s|%s|%s|p%d|n%d|s%d",
+	return fmt.Sprintf("%s|%s|%t|%s|%s|%s|n%d|s%d",
 		spec.Experiment, spec.Preset, spec.Quick, spec.Topology,
-		spec.Workload, spec.Faults, spec.Partitions,
-		bits.Len(uint(nodes)), seedBucket)
+		spec.Workload, spec.Faults, bits.Len(uint(nodes)), seedBucket)
 }

@@ -632,3 +632,43 @@ func TestJournalWorkerMembershipRoundTrip(t *testing.T) {
 	defer re.Close()
 	check(re)
 }
+
+// TestRecoveryFailsRemovedPartitionedJob: a journal written while the
+// partitioned engine existed may hold a queued pgauss job whose spec
+// carries "partitions". Replay must not refuse the journal: the job ends
+// failed with an unknown-experiment error, and the scheduler goes on
+// serving new work.
+func TestRecoveryFailsRemovedPartitionedJob(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir,
+		`{"rec":1,"event":"submitted","job_id":"j0001-pgauss","seq":1,"spec":{"experiment":"pgauss","quick":true,"partitions":2},"fingerprint":"fp-pgauss","unix_ms":1}`+"\n")
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatalf("journal with a partitioned spec refused: %v", err)
+	}
+	s := NewScheduler(Config{Workers: 1, Journal: j})
+	t.Cleanup(func() {
+		s.Shutdown(context.Background())
+		j.Close()
+	})
+	if rec := s.Recovery(); rec.Replayed != 1 {
+		t.Errorf("recovery stats = %+v, want the one job replayed", rec)
+	}
+	old, ok := s.Lookup("j0001-pgauss")
+	if !ok {
+		t.Fatal("replayed pgauss job lost")
+	}
+	if _, err := old.Wait(); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("replayed pgauss job ended with %v, want an unknown-experiment error", err)
+	}
+	if st := old.State(); st != StateFailed {
+		t.Errorf("replayed pgauss job is %s, want %s", st, StateFailed)
+	}
+	next, err := s.Submit(specNuma())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(); err != nil {
+		t.Errorf("job after the failed replay: %v", err)
+	}
+}

@@ -161,9 +161,8 @@ func runSpec(ctx context.Context, spec core.Spec, observe []func(*machine.Machin
 // any scheduler — butterflybench's in-process backend runs every experiment
 // through it. The spec is validated first. Each observer sees every machine
 // the run builds, after the lab has attached the spec's faults and probe;
-// the CLI reads per-engine counters for -timing (parks, windows, barrier
-// time, per-partition compute) and redirects -trace-out's probe event
-// streams through it.
+// the CLI reads per-engine counters for -timing (parks, lazy flushes, heap
+// depth) and redirects -trace-out's probe event streams through it.
 func RunSpec(spec core.Spec, observe ...func(*machine.Machine)) (*core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

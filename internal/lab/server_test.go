@@ -131,6 +131,12 @@ func TestServerValidationAndNotFound(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"numa","warp":9}`, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown field status = %d", code)
 	}
+	// A client still sending the removed "partitions" field is refused, not
+	// run on the sequential engine as if it had asked for nothing.
+	if code := doJSON(t, "POST", ts.URL+"/jobs", `{"experiment":"numa","quick":true,"partitions":2}`, &e); code != http.StatusBadRequest ||
+		!strings.Contains(e["error"], "partitions") {
+		t.Errorf("removed partitions field: status %d, error %q", code, e["error"])
+	}
 	if code := doJSON(t, "GET", ts.URL+"/jobs/j9999-deadbeef", "", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d", code)
 	}

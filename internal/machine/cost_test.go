@@ -116,23 +116,6 @@ func TestFaultKillsUntouchedNode(t *testing.T) {
 	}
 }
 
-// TestPartitionedMachineBuildsEveryNode: a partitioned machine builds all
-// node state in New, so concurrent windows never race to build a chunk.
-func TestPartitionedMachineBuildsEveryNode(t *testing.T) {
-	cfg := DefaultConfig(100)
-	cfg.Partitions = 2
-	m := New(cfg)
-	ids := builtNodes(m)
-	if len(ids) != cfg.Nodes {
-		t.Fatalf("partitioned New built %d of %d nodes", len(ids), cfg.Nodes)
-	}
-	for i, id := range ids {
-		if id != i {
-			t.Fatalf("built node %d has ID %d", i, id)
-		}
-	}
-}
-
 // BenchmarkMachineNew times machine construction across node counts and
 // topologies; allocations and bytes per op should stay flat as nodes grow.
 func BenchmarkMachineNew(b *testing.B) {

@@ -14,6 +14,7 @@ package machine
 import (
 	"fmt"
 
+	"butterfly/internal/calendar"
 	"butterfly/internal/fault"
 	"butterfly/internal/memory"
 	"butterfly/internal/probe"
@@ -65,17 +66,6 @@ type Config struct {
 	// reference-heavy workloads (Figure 5's 10^8-word sweeps) can use this
 	// much cheaper path; memory-module contention is always modelled.
 	NoSwitchContention bool
-	// Partitions, when > 0, builds the machine on a partitioned conservative
-	// parallel-DES engine: the nodes are split into that many contiguous
-	// groups, each simulated by its own event queue, with every off-node
-	// reference routed through a window-boundary exchange (see
-	// sim.EnablePartitions). Results are bit-identical for every partition
-	// count, including 1 — the sequential reference. Partitioned machines
-	// require partition-safe experiment code (all processes spawned before
-	// Run, no cross-node wait-queue wakes, no shared Go state between
-	// processes on different nodes) and do not support fault injection.
-	// 0 keeps the classic strictly-sequential engine.
-	Partitions int
 }
 
 // DefaultConfig returns the Butterfly-I calibration for n nodes (software
@@ -124,8 +114,6 @@ type Machine struct {
 	// chunks holds node state nodeChunk nodes at a time; a nil chunk has
 	// never been touched. Node state is built on first reference, so a run
 	// that reads two nodes of a 1,039-node machine builds two chunks.
-	// Partitioned machines build every chunk in New (concurrent windows
-	// must not race on chunk creation).
 	chunks [][]Node
 
 	// comb, when non-nil, is the combining fetch-and-add layer over Net's
@@ -134,23 +122,14 @@ type Machine struct {
 
 	stats     Stats
 	lastPrune int64
-	// parts is the partition count (0 = classic sequential engine). On a
-	// partitioned machine pstats shards the in-window reference counters by
-	// partition (barrier-time exchange work accounts into stats, which only
-	// the coordinator touches).
-	parts  int
-	pstats []Stats
 	// wordTransit caches the uncontended end-to-end network time for a
 	// one-word packet — the constant added twice per word on the
 	// NoSwitchContention remote path.
 	wordTransit int64
 	// scr holds Sweep's placement-batch scratch: the modules with an open
 	// batch, the per-ref module resolution, and the merge buffer the batch
-	// commits share. Classic machines use scr[0]; partitioned machines keep
-	// one per partition (sweeps on different partitions run concurrently)
-	// plus xscr for the coordinator's barrier-time exchange sweeps.
-	scr  []sweepScratch
-	xscr sweepScratch
+	// commits share.
+	scr sweepScratch
 
 	// probe, when non-nil, is the machine-wide observability probe, shared
 	// with the engine, the network, and every memory module.
@@ -184,15 +163,10 @@ func (m *Machine) Probe() *probe.Probe { return m.probe }
 // processes), and every subsequent memory reference consults the injector
 // for drop and parity fates. Attach at most once, before Run. A machine
 // without an injector pays one nil check per reference and behaves exactly
-// as before. Fault injection requires the classic sequential engine
-// (node-death kills cut across partitions), so attaching to a partitioned
-// machine panics.
+// as before.
 func (m *Machine) AttachFaults(f *fault.Injector) {
 	if m.faults != nil {
 		panic("machine: AttachFaults called twice")
-	}
-	if m.parts > 0 && f != nil {
-		panic("machine: fault injection requires an unpartitioned machine (Config.Partitions = 0)")
 	}
 	if f == nil {
 		return
@@ -278,6 +252,15 @@ type Stats struct {
 	AtomicOps   uint64
 }
 
+// sweepScratch is Sweep's reusable buffer set: the modules with an open
+// placement batch, the per-ref module resolution, and the merge scratch
+// their commits share.
+type sweepScratch struct {
+	mods    []*memory.Module
+	refMods []*memory.Module
+	commit  calendar.Scratch
+}
+
 // New builds a machine with the given configuration and a fresh simulation
 // engine.
 func New(cfg Config) *Machine {
@@ -291,9 +274,6 @@ func New(cfg Config) *Machine {
 	if cfg.Net.Nodes == 0 {
 		cfg.Net = switchnet.DefaultConfig(cfg.Nodes)
 	}
-	if cfg.Partitions > cfg.Nodes {
-		cfg.Partitions = cfg.Nodes
-	}
 	if _, err := switchnet.ParseTopology(string(cfg.Topology)); err != nil {
 		panic("machine: " + err.Error())
 	}
@@ -305,26 +285,7 @@ func New(cfg Config) *Machine {
 	if cfg.Combining {
 		m.comb = switchnet.NewCombining(m.Net, switchnet.DefaultCombiningConfig())
 	}
-	if p := cfg.Partitions; p > 0 {
-		// Contiguous node blocks: node n belongs to partition n*p/Nodes.
-		// The mapping only affects wall-clock balance, never results —
-		// off-node references go through the exchange path regardless of
-		// whether they land in the caller's own partition.
-		nodes := cfg.Nodes
-		m.parts = p
-		m.pstats = make([]Stats, p)
-		m.scr = make([]sweepScratch, p)
-		m.E.EnablePartitions(p, func(node int) int { return node * p / nodes })
-		m.E.SetBarrierHook(m.pruneAtBarrier)
-	} else {
-		m.scr = make([]sweepScratch, 1)
-	}
 	m.chunks = make([][]Node, (cfg.Nodes+nodeChunk-1)/nodeChunk)
-	if m.parts > 0 {
-		for c := range m.chunks {
-			m.buildChunk(c)
-		}
-	}
 	m.wordTransit = m.fixedTransitNs(wordBytes)
 	if scope != nil && scope.onNew != nil {
 		scope.onNew(m)
@@ -332,35 +293,8 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Stats returns a copy of the machine counters (summed across partition
-// shards on a partitioned machine).
-func (m *Machine) Stats() Stats {
-	s := m.stats
-	for i := range m.pstats {
-		ps := &m.pstats[i]
-		s.LocalRefs += ps.LocalRefs
-		s.RemoteRefs += ps.RemoteRefs
-		s.BlockCopies += ps.BlockCopies
-		s.AtomicOps += ps.AtomicOps
-	}
-	return s
-}
-
-// Partitions returns the machine's partition count (0 = classic engine).
-func (m *Machine) Partitions() int { return m.parts }
-
-// pid maps a node index to its partition.
-func (m *Machine) pid(node int) int { return node * m.parts / m.Cfg.Nodes }
-
-// statsFor returns the counter shard a reference issued by p during a window
-// must account into: the partition's shard on a partitioned machine (windows
-// execute concurrently), the machine-wide counters otherwise.
-func (m *Machine) statsFor(p *sim.Proc) *Stats {
-	if m.parts > 0 {
-		return &m.pstats[m.pid(p.Node)]
-	}
-	return &m.stats
-}
+// Stats returns a copy of the machine counters.
+func (m *Machine) Stats() Stats { return m.stats }
 
 // N returns the number of nodes.
 func (m *Machine) N() int { return m.Cfg.Nodes }
@@ -433,12 +367,6 @@ func (m *Machine) maybePrune() {
 	// wall-clock trade-off: short enough to keep calendars compact for the
 	// insertion memmoves, long enough to amortize the sweep over all nodes.
 	const every = 20 * 1_000_000 // 20 ms of virtual time
-	if m.parts > 0 {
-		// Partitioned machines prune at window barriers (pruneAtBarrier),
-		// where all partitions are quiescent; pruning from inside a window
-		// would race with concurrent calendar use.
-		return
-	}
 	if m.E.Now()-m.lastPrune < every {
 		return
 	}
@@ -448,23 +376,6 @@ func (m *Machine) maybePrune() {
 		m.comb.Prune(m.lastPrune)
 	}
 	m.EachBuiltNode(func(n *Node) { n.Mem.Prune(m.lastPrune) })
-}
-
-// pruneAtBarrier is the partitioned machine's calendar pruning, installed as
-// the engine's barrier hook: it runs on the coordinator between windows. No
-// reservation can be requested before the window's start time, so intervals
-// ending earlier can never matter again.
-func (m *Machine) pruneAtBarrier(windowStart int64) {
-	const every = 20 * 1_000_000 // 20 ms of virtual time
-	if windowStart-m.lastPrune < every {
-		return
-	}
-	m.lastPrune = windowStart
-	m.Net.Prune(windowStart)
-	if m.comb != nil {
-		m.comb.Prune(windowStart)
-	}
-	m.EachBuiltNode(func(n *Node) { n.Mem.Prune(windowStart) })
 }
 
 // Read charges p for reading words 32-bit words from the memory of the given
@@ -497,7 +408,7 @@ func (m *Machine) access(p *sim.Proc, node, words int) {
 	n := m.Node(node)
 	if node == p.Node {
 		// Local: processor overhead once, then the module streams the words.
-		m.statsFor(p).LocalRefs++
+		m.stats.LocalRefs++
 		now := p.Now()
 		_, done := n.Mem.Service(now+m.Cfg.LocalOverheadNs, words, true)
 		if faulty {
@@ -505,14 +416,6 @@ func (m *Machine) access(p *sim.Proc, node, words int) {
 			return
 		}
 		p.Charge(done - now)
-		return
-	}
-	if m.parts > 0 {
-		// Partitioned: every off-node reference is serviced at the window
-		// barrier, whether or not the target happens to share the caller's
-		// partition — so the timeline never depends on the node-to-partition
-		// mapping.
-		m.exchangeAccess(p, n, words)
 		return
 	}
 	// Remote: each word is an independent reference through the switch
@@ -566,11 +469,7 @@ func (m *Machine) BlockCopy(p *sim.Proc, src, dst, words int) {
 		}
 	}
 	sn, dn := m.Node(src), m.Node(dst)
-	if m.parts > 0 && (src != p.Node || dst != p.Node) {
-		m.exchangeBlockCopy(p, sn, dn, words)
-		return
-	}
-	m.statsFor(p).BlockCopies++
+	m.stats.BlockCopies++
 	now := p.Now()
 	t := now + m.Cfg.PNCOverheadNs
 	if src == dst {
@@ -633,7 +532,7 @@ func (m *Machine) AtomicWord(p *sim.Proc, node, word int) {
 	}
 	n := m.Node(node)
 	if node == p.Node {
-		m.statsFor(p).AtomicOps++
+		m.stats.AtomicOps++
 		now := p.Now()
 		_, done := n.Mem.Service(now+m.Cfg.LocalOverheadNs, 2, true)
 		if faulty {
@@ -641,10 +540,6 @@ func (m *Machine) AtomicWord(p *sim.Proc, node, word int) {
 			return
 		}
 		p.Charge(done - now)
-		return
-	}
-	if m.parts > 0 {
-		m.exchangeAtomic(p, n, word)
 		return
 	}
 	m.stats.AtomicOps++
@@ -707,10 +602,6 @@ func (m *Machine) Sweep(p *sim.Proc, items int, computeNs int64, refs []Ref) {
 	if items <= 0 {
 		return
 	}
-	if m.parts > 0 {
-		m.partitionedSweep(p, items, computeNs, refs)
-		return
-	}
 	faulty := m.faults != nil
 	if faulty {
 		m.preFault(p, p.Node)
@@ -722,7 +613,7 @@ func (m *Machine) Sweep(p *sim.Proc, items int, computeNs int64, refs []Ref) {
 	}
 	now := p.Now()
 	t := now
-	scr := &m.scr[0]
+	scr := &m.scr
 	fixedNet := m.Cfg.NoSwitchContention
 	gap := m.Cfg.PNCOverheadNs + 2*m.wordTransit
 	lead := m.Cfg.PNCOverheadNs + m.wordTransit
@@ -813,10 +704,6 @@ func (m *Machine) Microcode(p *sim.Proc, node int, busyNs int64) {
 	words := int(busyNs / m.Cfg.MemCycleNs)
 	if words < 1 {
 		words = 1
-	}
-	if m.parts > 0 && node != p.Node {
-		m.exchangeMicrocode(p, n, words)
-		return
 	}
 	now := p.Now()
 	t := now

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"butterfly/internal/sim"
@@ -46,58 +45,6 @@ func TestMachineBadTopologyPanics(t *testing.T) {
 	cfg := DefaultConfig(16)
 	cfg.Topology = "torus"
 	New(cfg)
-}
-
-// combiningWorkload drives a hot-spot fetch-and-add storm (plus background
-// reads) on a combining machine and fingerprints the observable physics.
-func combiningWorkload(t *testing.T, parts int) uint64 {
-	t.Helper()
-	const nodes = 16
-	cfg := DefaultConfig(nodes)
-	cfg.Combining = true
-	cfg.Partitions = parts
-	m := New(cfg)
-	traces := make([]int64, nodes)
-	for n := 1; n < nodes; n++ {
-		node := n
-		m.Spawn(fmt.Sprintf("s%d", node), node, func(p *sim.Proc) {
-			for i := 0; i < 8; i++ {
-				m.AtomicWord(p, 0, i%2)
-				if i%3 == 0 {
-					m.Read(p, (node+5)%nodes, 2)
-				}
-				p.Advance(sim.Microsecond)
-			}
-			p.Sync()
-			traces[node] = p.Now()
-		})
-	}
-	if err := m.E.Run(); err != nil {
-		t.Fatalf("parts=%d: %v", parts, err)
-	}
-	h := fnv.New64a()
-	for _, tr := range traces {
-		fmt.Fprintf(h, "%d\n", tr)
-	}
-	cs := m.CombineStats()
-	fmt.Fprintf(h, "now=%d req=%d comb=%d saved=%d atomics=%d\n",
-		m.E.Now(), cs.Requests, cs.Combined, cs.SavedHops, m.Stats().AtomicOps)
-	if cs.Combined == 0 {
-		t.Fatalf("parts=%d: hot-spot storm never combined", parts)
-	}
-	return h.Sum64()
-}
-
-// TestCombiningPartitionInvariance: the wait-buffer state is a pure function
-// of the deterministic request sequence, so a combining machine walks a
-// bit-identical trajectory at every partition count.
-func TestCombiningPartitionInvariance(t *testing.T) {
-	ref := combiningWorkload(t, 1)
-	for _, parts := range []int{2, 4, 8} {
-		if got := combiningWorkload(t, parts); got != ref {
-			t.Errorf("fingerprint differs at %d partitions", parts)
-		}
-	}
 }
 
 // TestCombiningReducesHotSpotLatency: the machine-level restatement of the

@@ -1,8 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
-// Simulated processes run as coroutines: one dispatch loop per partition
-// resumes exactly one process at a time, in (virtual time, FIFO sequence)
-// order, so a simulation is reproducible and free of data races by
-// construction.
+// Simulated processes run as coroutines: one dispatch loop resumes exactly
+// one process at a time, in (virtual time, FIFO sequence) order, so a
+// simulation is reproducible and free of data races by construction.
 //
 // The engine is the substrate for the Butterfly machine model: every higher
 // layer (memory modules, the switching network, Chrysalis, the programming
@@ -17,19 +16,11 @@
 // process's local clock is therefore invisible to other processes: at every
 // point where cross-process effects can be observed, the clock has been
 // flushed and event ordering is identical to charging eagerly.
-//
-// By default the engine is strictly sequential. EnablePartitions switches it
-// into windowed conservative-parallel mode (see partition.go): the event
-// queue splits into per-partition queues that execute concurrently within
-// lookahead-sized virtual-time windows and exchange cross-partition work only
-// at window boundaries.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"butterfly/internal/probe"
@@ -71,14 +62,12 @@ type Proc struct {
 	// Name identifies the process in traces and deadlock reports.
 	Name string
 	// Node is the machine node the process is bound to. The engine itself
-	// does not interpret it except to map the process to a partition; the
-	// machine layer does. It defaults to 0.
+	// does not interpret it; the machine layer does. It defaults to 0.
 	Node int
 	// Ctx is an arbitrary per-process context slot for higher layers.
 	Ctx any
 
 	eng   *Engine
-	sd    *sched // the partition scheduler that owns this process
 	state procState
 	// next resumes the process's coroutine until its next park (ok true) or
 	// its end (ok false); yield, called by the process itself, suspends it
@@ -108,7 +97,7 @@ type Proc struct {
 	parkedBlocked bool
 
 	// Heap bookkeeping: at/seq order the pending resumption, heapIdx is the
-	// process's slot in its partition's event heap (-1 when not queued). A
+	// process's slot in the engine's event heap (-1 when not queued). A
 	// process has at most one pending event, so the heap needs no stale
 	// entries and entries can be updated in place.
 	at      int64
@@ -143,8 +132,7 @@ func (e *DeadlockError) Error() string {
 }
 
 // Stats aggregates engine-level counters, useful for benchmarking the
-// simulator itself and for sanity checks in tests. In partitioned mode the
-// counters are summed across partitions.
+// simulator itself and for sanity checks in tests.
 type Stats struct {
 	Events       uint64 // process resumptions executed
 	Spawned      int    // processes ever created
@@ -152,111 +140,54 @@ type Stats struct {
 	Charges      uint64 // Charge calls (lazy, no park)
 	Parks        uint64 // process suspensions (incl. same-proc fast path)
 	LazyFlushes  uint64 // local-clock flushes (park at accumulated time)
-	Exchanges    uint64 // cross-partition exchanges serviced at window barriers
-	MaxHeapDepth int    // high-water mark of the pending-event heap(s)
+	MaxHeapDepth int    // high-water mark of the pending-event heap
 }
 
 // Lookahead bounds how much virtual time a process may accumulate locally
 // before Charge forces a flush. Sync points flush regardless, so the
-// threshold only limits long runs of pure computation. In partitioned mode
-// it is also the width of the synchronization window.
+// threshold only limits long runs of pure computation.
 const Lookahead = 250 * Microsecond
 
-// sched is the event queue and clock of one partition. A classic engine has
-// exactly one; a partitioned engine has one per partition, each driven by its
-// own dispatch loop (run) inside a window. All fields are owned by whichever
-// goroutine currently runs the partition's loop or one of its coroutines:
-// coroutine switches and, between windows, the coordinator's goroutine
-// start and drained channel provide the needed happens-before edges.
-type sched struct {
-	eng     *Engine
-	id      int
+// Engine is a discrete-event simulator. The zero value is not usable; call
+// New.
+type Engine struct {
 	now     int64
 	seq     uint64
 	heap    []*Proc // indexed min-heap by (at, seq); one entry per ready proc
 	running *Proc
 	// handoff is the process a parking or finishing process names as its
-	// successor, for the dispatch loop to resume next (nil: none in window).
+	// successor, for the dispatch loop to resume next (nil: none).
 	handoff *Proc
-	live    int // processes spawned into this partition and not yet done
-	blocked int // processes currently blocked
+	live    int // processes spawned and not yet done
 	stats   Stats
-
-	// windowEnd bounds dispatch in partitioned mode: events at or after it
-	// stay queued until the next window. Classic mode leaves it at MaxInt64.
-	windowEnd int64
-	// outbox collects cross-partition exchanges issued during the current
-	// window, serviced by the coordinator at the barrier.
-	outbox []exchangeReq
-
-	// Wall-clock accounting for the per-partition timing breakdown:
-	// busyNs is time spent executing window events, syncWaitNs time spent
-	// drained while sibling partitions finish their window, idleNs time
-	// spent with no events inside the window at all.
-	busyNs     int64
-	syncWaitNs int64
-	idleNs     int64
-	drainedAt  int64 // scratch: wall nanos when this sched drained (per window)
-}
-
-func newSched(e *Engine, id int) *sched {
-	return &sched{eng: e, id: id, windowEnd: math.MaxInt64}
-}
-
-// flushRunning flushes the partition's running process's lazy clock, if any.
-func (s *sched) flushRunning() {
-	if r := s.running; r != nil && r.local > 0 {
-		r.sync()
-	}
-}
-
-// Engine is a discrete-event simulator. The zero value is not usable; call
-// New. By default it is strictly sequential; see EnablePartitions.
-type Engine struct {
-	scheds  []*sched
 	procs   []*Proc
 	started bool
 
-	// Partitioned-mode state (see partition.go). windowed is set by
-	// EnablePartitions; partOf maps a node index to a partition index;
-	// drained carries each partition's end-of-window notification to the
-	// coordinator in concurrent windows; barrierHook, when non-nil, runs at
-	// every window barrier.
-	windowed    bool
-	partOf      func(node int) int
-	drained     chan *sched
-	barrierHook func(windowStart int64)
-	xscratch    []exchangeReq
-	activeScr   []*sched
-	windows     uint64
-	barrierNs   int64
-
 	// probe, when non-nil, receives a typed event for every state
 	// transition (see internal/probe). Probes are purely observational; a
-	// nil probe costs the hot paths one pointer check. An attached probe
-	// forces partitioned windows to execute sequentially so the event
-	// stream stays deterministic.
+	// nil probe costs the hot paths one pointer check.
 	probe *probe.Probe
 
 	// interrupted is the only piece of engine state that may be touched
-	// from outside the simulation's dispatch loops: the end of a job's
+	// from outside the simulation's dispatch loop: the end of a job's
 	// context (timeout or cancellation) sets it, and the dispatcher checks
 	// it at every dispatch point.
 	interrupted atomic.Bool
 
 	// trapPanics converts a real panic in a process body into a run error
 	// (see TrapPanics); trapped holds that error until Run returns it.
-	// trapMu guards trapped: partitions may panic concurrently.
 	trapPanics bool
-	trapMu     sync.Mutex
 	trapped    error
 }
 
 // New creates an empty simulation engine at virtual time zero.
-func New() *Engine {
-	e := &Engine{}
-	e.scheds = []*sched{newSched(e, 0)}
-	return e
+func New() *Engine { return &Engine{} }
+
+// flushRunning flushes the running process's lazy clock, if any.
+func (e *Engine) flushRunning() {
+	if r := e.running; r != nil && r.local > 0 {
+		r.sync()
+	}
 }
 
 // SetProbe attaches an observability probe (nil detaches). Attach before
@@ -269,104 +200,47 @@ func (e *Engine) Probe() *probe.Probe { return e.probe }
 
 // Now returns the current virtual time in nanoseconds. A process that has
 // charged time lazily since its last synchronization point is logically ahead
-// of this clock; see Proc.LocalNow. On a partitioned engine the partitions'
-// clocks advance independently inside a window, so Now reports the furthest
-// one; call it only from outside the run (it is exact once Run returns, and
-// process bodies should use Proc.Now instead).
-func (e *Engine) Now() int64 {
-	if len(e.scheds) == 1 {
-		return e.scheds[0].now
-	}
-	var mx int64
-	for _, s := range e.scheds {
-		if s.now > mx {
-			mx = s.now
-		}
-	}
-	return mx
-}
+// of this clock; see Proc.LocalNow.
+func (e *Engine) Now() int64 { return e.now }
 
-// Now returns the current virtual time of the process's partition. For a
-// classic engine this equals Engine.Now. Unlike Engine.Now it is always safe
-// to call from a running process body.
-func (p *Proc) Now() int64 { return p.sd.now }
+// Now returns the current virtual time; it equals Engine.Now.
+func (p *Proc) Now() int64 { return p.eng.now }
 
-// Stats returns a copy of the engine counters, summed across partitions.
-func (e *Engine) Stats() Stats {
-	if len(e.scheds) == 1 {
-		return e.scheds[0].stats
-	}
-	var t Stats
-	for _, s := range e.scheds {
-		t.Events += s.stats.Events
-		t.Spawned += s.stats.Spawned
-		t.Completed += s.stats.Completed
-		t.Charges += s.stats.Charges
-		t.Parks += s.stats.Parks
-		t.LazyFlushes += s.stats.LazyFlushes
-		t.Exchanges += s.stats.Exchanges
-		if s.stats.MaxHeapDepth > t.MaxHeapDepth {
-			t.MaxHeapDepth = s.stats.MaxHeapDepth
-		}
-	}
-	return t
-}
+// Stats returns a copy of the engine counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Procs returns all processes ever spawned, in spawn order.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// Running returns the currently executing process, or nil outside Run. On a
-// partitioned engine it is meaningful only while windows run sequentially
-// (probe attached or single partition); prefer per-process context.
-func (e *Engine) Running() *Proc {
-	for _, s := range e.scheds {
-		if r := s.running; r != nil {
-			return r
-		}
-	}
-	return nil
-}
+// Running returns the currently executing process, or nil outside Run.
+func (e *Engine) Running() *Proc { return e.running }
 
 // Spawn creates a new simulated process bound to the given node and schedules
 // it to start at the current virtual time. fn runs as the process body; when
 // fn returns the process completes. Spawn may be called before Run or from
 // inside a running process. A running caller's local clock is flushed first,
 // so the child starts at the caller's true current time.
-//
-// On a partitioned engine all processes must be spawned before Run: the
-// process population is part of the static partitioning, so mid-run spawns
-// panic.
 func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
-	var s *sched
-	if e.windowed {
-		if e.started {
-			panic("sim: Spawn during a partitioned run (spawn all processes before Run)")
-		}
-		s = e.scheds[e.partOf(node)]
-	} else {
-		s = e.scheds[0]
-		s.flushRunning()
-	}
+	e.flushRunning()
 	p := &Proc{
 		ID:        len(e.procs),
 		Name:      name,
 		Node:      node,
 		eng:       e,
-		sd:        s,
 		state:     stateNew,
-		spawnedAt: s.now,
+		spawnedAt: e.now,
 		heapIdx:   -1,
 	}
 	e.procs = append(e.procs, p)
-	s.live++
-	s.stats.Spawned++
+	e.live++
+	e.stats.Spawned++
 	p.coroutine(func() {
 		// Completion is deferred so it also runs when the body ends by a
 		// panic or runtime.Goexit. The coroutine re-raises either in the
-		// dispatch loop's goroutine, which is Run's own unless windows run
-		// concurrently: a panic reaches Run's caller, and a Goexit (t.Fatal
-		// in a test body) ends the goroutine that called Run, so Run never
-		// returns; release unwinds the rest either way.
+		// dispatch loop's goroutine, which is Run's own: a panic reaches
+		// Run's caller, and a Goexit (t.Fatal in a test body) ends the
+		// goroutine that called Run, so Run never returns; release unwinds
+		// the rest either way.
 		defer func() {
 			p.finishing = true
 			if p.local > 0 {
@@ -377,15 +251,15 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 				}
 			}
 			p.state = stateDone
-			p.finishedAt = s.now
-			s.live--
-			s.stats.Completed++
+			p.finishedAt = e.now
+			e.live--
+			e.stats.Completed++
 			if pr := e.probe; pr != nil {
-				pr.ProcRun(p.dispatchedAt, s.now-p.dispatchedAt, p.ID)
-				pr.ProcDone(s.now, p.ID)
+				pr.ProcRun(p.dispatchedAt, e.now-p.dispatchedAt, p.ID)
+				pr.ProcDone(e.now, p.ID)
 			}
 			// Name the successor; the coroutine ends here.
-			s.handoff = s.popNext()
+			e.handoff = e.popNext()
 		}()
 		defer func() {
 			r := recover()
@@ -404,11 +278,9 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 				// Trapped mode (a service hosting the simulation): the run
 				// aborts with an error naming the panic instead of taking
 				// the host process down with it.
-				e.trapMu.Lock()
 				if e.trapped == nil {
 					e.trapped = fmt.Errorf("sim: process %d (%s) on node %d panicked: %v", p.ID, p.Name, p.Node, r)
 				}
-				e.trapMu.Unlock()
 				e.Interrupt()
 				p.exited = true
 				p.fatal = r
@@ -420,10 +292,10 @@ func (e *Engine) Spawn(name string, node int, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	})
-	s.schedule(p, s.now)
+	e.schedule(p, e.now)
 	if pr := e.probe; pr != nil {
-		p.parkedAt = s.now
-		pr.ProcSpawn(s.now, p.ID, node, p.Name)
+		p.parkedAt = e.now
+		pr.ProcSpawn(e.now, p.ID, node, p.Name)
 	}
 	return p
 }
@@ -449,22 +321,22 @@ type Terminator interface {
 }
 
 // schedule enqueues a resumption of p at time at and marks it ready.
-func (s *sched) schedule(p *Proc, at int64) {
-	if at < s.now {
-		at = s.now
+func (e *Engine) schedule(p *Proc, at int64) {
+	if at < e.now {
+		at = e.now
 	}
-	s.seq++
-	p.at, p.seq = at, s.seq
+	e.seq++
+	p.at, p.seq = at, e.seq
 	p.state = stateReady
 	if p.heapIdx < 0 {
-		p.heapIdx = len(s.heap)
-		s.heap = append(s.heap, p)
-		s.siftUp(p.heapIdx)
-		if n := len(s.heap); n > s.stats.MaxHeapDepth {
-			s.stats.MaxHeapDepth = n
+		p.heapIdx = len(e.heap)
+		e.heap = append(e.heap, p)
+		e.siftUp(p.heapIdx)
+		if n := len(e.heap); n > e.stats.MaxHeapDepth {
+			e.stats.MaxHeapDepth = n
 		}
-	} else if !s.siftUp(p.heapIdx) {
-		s.siftDown(p.heapIdx)
+	} else if !e.siftUp(p.heapIdx) {
+		e.siftDown(p.heapIdx)
 	}
 }
 
@@ -478,8 +350,8 @@ func eventLess(a, b *Proc) bool {
 
 // siftUp restores the heap property upward from slot i and reports whether
 // the entry moved.
-func (s *sched) siftUp(i int) bool {
-	h := s.heap
+func (e *Engine) siftUp(i int) bool {
+	h := e.heap
 	p := h[i]
 	moved := false
 	for i > 0 {
@@ -499,8 +371,8 @@ func (s *sched) siftUp(i int) bool {
 }
 
 // siftDown restores the heap property downward from slot i.
-func (s *sched) siftDown(i int) {
-	h := s.heap
+func (e *Engine) siftDown(i int) {
+	h := e.heap
 	n := len(h)
 	p := h[i]
 	for {
@@ -522,57 +394,56 @@ func (s *sched) siftDown(i int) {
 	p.heapIdx = i
 }
 
-// popNext removes the earliest pending event within the current window,
-// advances the partition clock to it, and returns its process marked running.
-// It returns nil if no dispatchable event is pending.
-func (s *sched) popNext() *Proc {
-	n := len(s.heap)
-	if n == 0 || s.heap[0].at >= s.windowEnd {
-		s.running = nil
+// popNext removes the earliest pending event, advances the clock to it, and
+// returns its process marked running. It returns nil if no event is pending.
+func (e *Engine) popNext() *Proc {
+	n := len(e.heap)
+	if n == 0 {
+		e.running = nil
 		return nil
 	}
-	p := s.heap[0]
+	p := e.heap[0]
 	n--
-	last := s.heap[n]
-	s.heap[n] = nil
-	s.heap = s.heap[:n]
+	last := e.heap[n]
+	e.heap[n] = nil
+	e.heap = e.heap[:n]
 	if n > 0 {
-		s.heap[0] = last
+		e.heap[0] = last
 		last.heapIdx = 0
-		s.siftDown(0)
+		e.siftDown(0)
 	}
 	p.heapIdx = -1
-	if p.at > s.now {
-		s.now = p.at
+	if p.at > e.now {
+		e.now = p.at
 	}
-	if s.eng.interrupted.Load() {
+	if e.interrupted.Load() {
 		// The run is being torn down: every process dies at its dispatch
 		// point (the same unwind path Kill uses), so the event queue drains
 		// instead of executing further user code.
 		p.killed = true
 		p.exited = true
 	}
-	s.stats.Events++
-	s.running = p
+	e.stats.Events++
+	e.running = p
 	p.state = stateRunning
-	if pr := s.eng.probe; pr != nil {
-		pr.ProcDispatch(s.now, p.ID, s.now-p.parkedAt, p.parkedBlocked)
-		p.dispatchedAt = s.now
+	if pr := e.probe; pr != nil {
+		pr.ProcDispatch(e.now, p.ID, e.now-p.parkedAt, p.parkedBlocked)
+		p.dispatchedAt = e.now
 		p.parkedBlocked = false
 	}
 	return p
 }
 
-// run is the partition's dispatch loop. Starting from p, a process popNext
-// has already dispatched, it resumes one process coroutine at a time; each
-// names its successor in s.handoff when it parks or finishes. The loop
-// returns once nothing in the window can be dispatched.
-func (s *sched) run(p *Proc) {
+// run is the dispatch loop. Starting from p, a process popNext has already
+// dispatched, it resumes one process coroutine at a time; each names its
+// successor in e.handoff when it parks or finishes. The loop returns once
+// no event is pending.
+func (e *Engine) run(p *Proc) {
 	for p != nil {
 		if _, ok := p.next(); !ok {
 			p.next, p.yield = nil, nil // drop the finished body's closure
 		}
-		p, s.handoff = s.handoff, nil
+		p, e.handoff = e.handoff, nil
 	}
 }
 
@@ -588,30 +459,18 @@ func (e *Engine) Run() error {
 	e.started = true
 	// Deferred, so the verdict below is taken before the unwind.
 	defer e.release()
-	if e.windowed {
-		e.runWindows()
-	} else {
-		// One dispatch loop on the caller's goroutine resumes the process
-		// coroutines until the event queue is empty.
-		s := e.scheds[0]
-		s.run(s.popNext())
-	}
-	e.trapMu.Lock()
-	trapped := e.trapped
-	e.trapMu.Unlock()
-	if trapped != nil {
-		return trapped
-	}
-	live := 0
-	for _, s := range e.scheds {
-		live += s.live
+	// One dispatch loop on the caller's goroutine resumes the process
+	// coroutines until the event queue is empty.
+	e.run(e.popNext())
+	if e.trapped != nil {
+		return e.trapped
 	}
 	if e.interrupted.Load() {
-		return &InterruptError{Now: e.Now(), Live: live}
+		return &InterruptError{Now: e.now, Live: e.live}
 	}
-	if live > 0 {
+	if e.live > 0 {
 		// Everything left alive is blocked: deadlock.
-		de := &DeadlockError{Now: e.Now()}
+		de := &DeadlockError{Now: e.now}
 		for _, p := range e.procs {
 			if p.state == stateBlocked {
 				de.Blocked = append(de.Blocked, BlockedProc{ID: p.ID, Name: p.Name, Node: p.Node, Reason: p.blockedOn})
@@ -624,28 +483,25 @@ func (e *Engine) Run() error {
 }
 
 // release unwinds every process a finished run left alive — blocked in a
-// deadlock, abandoned by an interrupt, or still queued past an interrupted
-// window — through the Kill path, so no goroutine outlives Run and none
-// pins the machine its process belongs to. The unwind runs the processes'
-// deferred cleanup, which may charge time; it is invisible all the same:
-// clocks, counters, and the probe stream are left as the run ended them.
+// deadlock or abandoned by an interrupt — through the Kill path, so no
+// goroutine outlives Run and none pins the machine its process belongs to.
+// The unwind runs the processes' deferred cleanup, which may charge time; it
+// is invisible all the same: clocks, counters, and the probe stream are left
+// as the run ended them.
 func (e *Engine) release() {
+	if e.live == 0 {
+		return
+	}
 	pr := e.probe
 	e.probe = nil
-	for _, s := range e.scheds {
-		if s.live == 0 {
-			continue
+	now, stats := e.now, e.stats
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			e.kill(p)
 		}
-		now, stats := s.now, s.stats
-		s.windowEnd = math.MaxInt64
-		for _, p := range e.procs {
-			if p.sd == s && p.state != stateDone {
-				s.kill(p)
-			}
-		}
-		s.run(s.popNext())
-		s.now, s.stats = now, stats
 	}
+	e.run(e.popNext())
+	e.now, e.stats = now, stats
 	e.probe = pr
 }
 
@@ -654,32 +510,31 @@ func (e *Engine) release() {
 // caller's own (the common case on an uncontended timeline), the clock
 // advances in place with no coroutine switch at all.
 func (p *Proc) park() {
-	s := p.sd
-	s.stats.Parks++
-	if pr := s.eng.probe; pr != nil {
-		pr.ProcRun(p.dispatchedAt, s.now-p.dispatchedAt, p.ID)
-		p.parkedAt = s.now
+	e := p.eng
+	e.stats.Parks++
+	if pr := e.probe; pr != nil {
+		pr.ProcRun(p.dispatchedAt, e.now-p.dispatchedAt, p.ID)
+		p.parkedAt = e.now
 		p.parkedBlocked = p.state == stateBlocked
 	}
-	next := s.popNext()
+	next := e.popNext()
 	if next == p {
 		if p.killed && !p.finishing {
 			panic(errExit) // killed while parked: die at the resumption point
 		}
 		return // own event is next: no context switch needed
 	}
-	s.handoff = next
+	e.handoff = next
 	p.yield(struct{}{})
 	if p.killed && !p.finishing {
 		panic(errExit) // killed while parked: die at the resumption point
 	}
 }
 
-// mustBeRunning panics unless p is the currently executing process of its
-// partition. All time-consuming operations must be issued by the running
-// process itself.
+// mustBeRunning panics unless p is the currently executing process. All
+// time-consuming operations must be issued by the running process itself.
 func (p *Proc) mustBeRunning(op string) {
-	if p.sd.running != p {
+	if p.eng.running != p {
 		panic(fmt.Sprintf("sim: %s called on proc %d %q which is not the running process", op, p.ID, p.Name))
 	}
 }
@@ -695,7 +550,7 @@ func (p *Proc) Charge(d int64) {
 		panic("sim: Charge with negative duration")
 	}
 	p.local += d
-	p.sd.stats.Charges++
+	p.eng.stats.Charges++
 	if p.local >= Lookahead {
 		p.sync()
 	}
@@ -715,20 +570,20 @@ func (p *Proc) sync() {
 	if p.local == 0 {
 		return
 	}
-	s := p.sd
+	e := p.eng
 	d := p.local
 	p.local = 0
-	s.stats.LazyFlushes++
-	if pr := s.eng.probe; pr != nil {
-		pr.ProcFlush(s.now, p.ID, d)
+	e.stats.LazyFlushes++
+	if pr := e.probe; pr != nil {
+		pr.ProcFlush(e.now, p.ID, d)
 	}
-	s.schedule(p, s.now+d)
+	e.schedule(p, e.now+d)
 	p.park()
 }
 
 // LocalNow returns the calling process's view of the current virtual time:
-// its partition's shared clock plus any lazily charged local time.
-func (p *Proc) LocalNow() int64 { return p.sd.now + p.local }
+// the shared clock plus any lazily charged local time.
+func (p *Proc) LocalNow() int64 { return p.eng.now + p.local }
 
 // Advance charges d nanoseconds of virtual time to the calling process: the
 // process is suspended and resumes once the clock has advanced past all other
@@ -740,7 +595,7 @@ func (p *Proc) Advance(d int64) {
 		panic("sim: Advance with negative duration")
 	}
 	p.sync()
-	p.sd.schedule(p, p.sd.now+d)
+	p.eng.schedule(p, p.eng.now+d)
 	p.park()
 }
 
@@ -756,9 +611,8 @@ func (p *Proc) Block(reason string) {
 	p.sync()
 	p.state = stateBlocked
 	p.blockedOn = reason
-	p.sd.blocked++
 	if pr := p.eng.probe; pr != nil {
-		pr.ProcBlock(p.sd.now, p.ID, reason)
+		pr.ProcBlock(p.eng.now, p.ID, reason)
 	}
 	p.park()
 }
@@ -768,20 +622,8 @@ func (p *Proc) Block(reason string) {
 // from engine setup. Unblock is never called on a process that is not
 // blocked. A running caller's local clock is flushed first, so the wake
 // happens at the caller's true current time.
-//
-// During a partitioned run the waker must be the running process of a node
-// that is p's: waking across nodes would couple partitions mid-window. The
-// partitioned programming model routes all cross-node interaction through
-// the machine layer's exchange operations instead. The check reads p's
-// partition state only once the waker is known to share that partition, so
-// a cross-partition call is refused without touching another goroutine's
-// state.
 func (e *Engine) Unblock(waker, p *Proc, delay int64) {
-	s := p.sd
-	if e.windowed && e.started && (waker == nil || waker.sd != s || waker.Node != p.Node || s.running != waker) {
-		panic(fmt.Sprintf("sim: Unblock of proc %d %q (node %d) from another node during a partitioned run", p.ID, p.Name, p.Node))
-	}
-	s.flushRunning()
+	e.flushRunning()
 	if p.timedWait {
 		// The process is waiting with a timeout: it is stateReady with a
 		// pending timeout event in the heap, not stateBlocked. Clearing
@@ -789,20 +631,19 @@ func (e *Engine) Unblock(waker, p *Proc, delay int64) {
 		// timed out" to BlockTimeout; rescheduling moves the wake earlier.
 		p.timedWait = false
 		p.blockedOn = ""
-		s.schedule(p, s.now+delay)
+		e.schedule(p, e.now+delay)
 		if pr := e.probe; pr != nil {
-			pr.ProcUnblock(s.now, p.ID)
+			pr.ProcUnblock(e.now, p.ID)
 		}
 		return
 	}
 	if p.state != stateBlocked {
 		panic(fmt.Sprintf("sim: Unblock of proc %d %q in state %v", p.ID, p.Name, p.state))
 	}
-	s.blocked--
 	p.blockedOn = ""
-	s.schedule(p, s.now+delay)
+	e.schedule(p, e.now+delay)
 	if pr := e.probe; pr != nil {
-		pr.ProcUnblock(s.now, p.ID)
+		pr.ProcUnblock(e.now, p.ID)
 	}
 }
 
@@ -855,34 +696,26 @@ func (e *Engine) TrapPanics() { e.trapPanics = true }
 // its next dispatch. Any lazily charged local time the victim has accumulated
 // is discarded — a killed process's unflushed work never happened. Killing
 // the running process is not allowed (use Exit); killing a completed or
-// already killed process is a no-op. Kill is not available during a
-// partitioned run (fault injection requires the classic engine).
+// already killed process is a no-op.
 func (e *Engine) Kill(p *Proc) {
 	if p == nil || p.state == stateDone || p.killed {
 		return
 	}
-	if e.windowed && e.started {
-		panic("sim: Kill during a partitioned run (fault injection requires the classic engine)")
-	}
-	s := p.sd
-	if p == s.running {
+	if p == e.running {
 		panic(fmt.Sprintf("sim: Kill of running proc %d %q (use Exit)", p.ID, p.Name))
 	}
-	s.flushRunning()
-	s.kill(p)
+	e.flushRunning()
+	e.kill(p)
 }
 
 // kill marks p killed and schedules it now, so its goroutine unwinds at the
-// resumption point. p belongs to s and is neither done nor running.
-func (s *sched) kill(p *Proc) {
+// resumption point. p is neither done nor running.
+func (e *Engine) kill(p *Proc) {
 	p.killed = true
 	p.exited = true
-	if p.state == stateBlocked {
-		s.blocked--
-	}
 	p.blockedOn = ""
 	p.timedWait = false
-	s.schedule(p, s.now)
+	e.schedule(p, e.now)
 }
 
 // BlockTimeout suspends the calling process until either Unblock is called on
@@ -895,14 +728,14 @@ func (p *Proc) BlockTimeout(reason string, d int64) (timedOut bool) {
 	if d < 0 {
 		panic("sim: BlockTimeout with negative duration")
 	}
-	s := p.sd
+	e := p.eng
 	p.sync()
 	p.timedWait = true
 	p.blockedOn = reason
-	if pr := s.eng.probe; pr != nil {
-		pr.ProcBlock(s.now, p.ID, reason)
+	if pr := e.probe; pr != nil {
+		pr.ProcBlock(e.now, p.ID, reason)
 	}
-	s.schedule(p, s.now+d)
+	e.schedule(p, e.now+d)
 	p.park()
 	timedOut = p.timedWait
 	p.timedWait = false

@@ -57,7 +57,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d int64) (timedOut bool) {
 // waker is the running process performing the wake (see Engine.Unblock);
 // its local clock is flushed before the queue is examined.
 func (q *WaitQueue) WakeOne(waker *Proc, delay int64) bool {
-	q.flushWaker(waker)
+	waker.eng.flushRunning()
 	for len(q.procs) > 0 {
 		p := q.procs[0]
 		copy(q.procs, q.procs[1:])
@@ -76,7 +76,7 @@ func (q *WaitQueue) WakeOne(waker *Proc, delay int64) bool {
 // number of processes woken. waker is the running process performing the
 // wake; its local clock is flushed before the queue is examined.
 func (q *WaitQueue) WakeAll(waker *Proc, delay int64) int {
-	q.flushWaker(waker)
+	waker.eng.flushRunning()
 	n := 0
 	for _, p := range q.procs {
 		if p.killed {
@@ -87,16 +87,6 @@ func (q *WaitQueue) WakeAll(waker *Proc, delay int64) int {
 	}
 	q.procs = q.procs[:0]
 	return n
-}
-
-// flushWaker flushes the waker's lazy clock before a wake examines the
-// queue. A partitioned run skips the flush when the queue is empty, since
-// there is nobody to wake; a classic run flushes regardless, and its
-// recorded fingerprints depend on that.
-func (q *WaitQueue) flushWaker(waker *Proc) {
-	if !waker.eng.windowed || len(q.procs) > 0 {
-		waker.sd.flushRunning()
-	}
 }
 
 // Remove deletes a specific process from the queue without waking it

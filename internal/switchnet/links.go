@@ -11,9 +11,8 @@ const linkChunk = 64
 // reservation: building a large network costs one small table of chunk
 // pointers, and a run pays only for the links it touches.
 //
-// No locking is needed: on a partitioned machine link calendars are touched
-// only by the engine's coordinator at the window barrier (see
-// machine/partition.go), never from inside a window.
+// No locking is needed: the engine resumes one process at a time, so no two
+// references reach the link calendars concurrently.
 type links struct {
 	chunks []*[linkChunk]calendar.Calendar
 }
